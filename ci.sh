@@ -57,7 +57,9 @@ run_asan() {
     # Unit tier (the bench/example smoke tests re-run identical code
     # paths and triple CI time under sanitizers), then the stress tier:
     # the full-size litmus fuzzer and the heavy 8-worker sweep
-    # equivalence run, where sanitizers watch the sharded path.
+    # equivalence run, where sanitizers watch the sharded path. Debug
+    # builds also diff the flat directory against its map oracle and
+    # every MSHR index lookup against a slot scan.
     ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L unit
     ctest --test-dir build-asan --output-on-failure -j "$JOBS" -L stress
     # Fast-forward equivalence: with the event-driven scheduler forced
@@ -65,26 +67,6 @@ run_asan() {
     # the on/off equivalence suite must pass under sanitizers.
     INVISIFENCE_FASTFWD=0 ctest --test-dir build-asan \
         --output-on-failure -R '(golden_figures_test|fastforward_test)'
-    # Way-predictor escape hatch: with MRU way prediction forced OFF the
-    # cache arrays take the plain tag scan, and the goldens must still
-    # be byte-identical (prediction is a host-side accelerator only).
-    INVISIFENCE_WAY_PREDICT=0 ctest --test-dir build-asan \
-        --output-on-failure -R '(golden_figures_test|fastforward_test)'
-    # Flat-directory escape hatch: forced back to the unordered_map the
-    # goldens (including the 64-core hashed-home scale golden) and the
-    # memory/coherence/scale unit suites must be unchanged (the flat
-    # table is a host-side layout swap only). scale_test rides along so
-    # the 64/256-core sharded-home paths run under sanitizers with the
-    # hatch off too.
-    INVISIFENCE_DIR_FLAT=0 ctest --test-dir build-asan \
-        --output-on-failure \
-        -R '(golden_figures_test|fastforward_test|mem_test|coh_test|scale_test)'
-    # MSHR-index escape hatch: forced off, lookups take the linear scan
-    # and waiter/local-fill merging is disabled — goldens and the same
-    # suites must be byte-identical either way.
-    INVISIFENCE_MSHR_INDEX=0 ctest --test-dir build-asan \
-        --output-on-failure \
-        -R '(golden_figures_test|fastforward_test|mem_test|coh_test|scale_test)'
 }
 
 run_faults() {

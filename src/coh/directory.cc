@@ -1,52 +1,28 @@
 #include "coh/directory.hh"
 
 #include "sim/annotations.hh"
-#include <cstdlib>
-
 #include "sim/log.hh"
 
 namespace invisifence {
-
-namespace {
-
-/** INVISIFENCE_DIR_FLAT=0 falls back to the legacy unordered_map
- *  directory store (escape hatch; behavior-identical). Parsed once per
- *  process; per-instance A/B runs use DirectoryParams::flatTable. */
-bool
-dirFlatEnabled()
-{
-    static const bool enabled = []() {
-        const char* text = std::getenv("INVISIFENCE_DIR_FLAT");
-        if (!text || text[0] == '\0')
-            return true;
-        if (text[0] == '0' && text[1] == '\0')
-            return false;
-        if (text[0] == '1' && text[1] == '\0')
-            return true;
-        IF_FATAL("INVISIFENCE_DIR_FLAT='%s' is not 0 or 1", text);
-    }();
-    return enabled;
-}
-
-} // namespace
 
 DirectorySlice::DirectorySlice(NodeId node, const HomeMap& home_map,
                                Network& net, EventQueue& eq,
                                FunctionalMemory& mem,
                                const DirectoryParams& params)
     : node_(node), homeMap_(home_map), net_(net), eq_(eq), mem_(mem),
-      params_(params),
-      useFlat_(params.flatTable < 0 ? dirFlatEnabled()
-                                    : params.flatTable != 0),
-      dirFlat_(params.flatCapacity)
+      params_(params), dirFlat_(params.flatCapacity), homes_(1)
 {
     net_.attachDirectory(node_, this);
     if (params_.faultTolerant) {
         if (params_.dedupCapacity == 0)
             IF_FATAL("fault-tolerant directory needs dedupCapacity > 0");
         // Ring of completed-transaction keys; 0 marks an empty slot
-        // (txnId 0 is the untagged sentinel, so no real key is 0).
+        // (txnId 0 is the untagged sentinel, so no real key is 0). The
+        // key table holds the ring's keys at <= 1/2 load, so it never
+        // grows.
         dedupRing_.assign(params_.dedupCapacity, 0);
+        dedup_ = FlatAddrMap<std::uint8_t>(
+            static_cast<std::size_t>(params_.dedupCapacity) * 2);
     }
 }
 
@@ -62,13 +38,14 @@ DirectorySlice::recordCompleted(NodeId src, std::uint32_t txn_id)
     if (!params_.faultTolerant || txn_id == 0)
         return;
     const Addr key = dedupKey(src, txn_id);
-    bool created = false;
-    dedup_.getOrCreate(key, &created) = 1;
-    if (!created)
+    if (dedup_.find(key))
         return;
+    // FIFO eviction of the oldest record first, so the table never
+    // holds more than dedupCapacity keys.
     Addr& slot = dedupRing_[dedupHead_];
     if (slot != 0)
-        dedup_.recycle(slot);   // FIFO eviction of the oldest record
+        dedup_.erase(slot);
+    dedup_.getOrCreate(key) = 1;
     slot = key;
     dedupHead_ = (dedupHead_ + 1) % dedupRing_.size();
 }
@@ -77,8 +54,6 @@ DirectorySlice::DirEntry&
 DirectorySlice::entry(Addr block)
 {
     const Addr blk = blockAlign(block);
-    if (!useFlat_)
-        return legacyEntry(blk);
 #ifndef NDEBUG
     // Fold the mutations made through the previous entry() reference
     // into the oracle before taking a new one.
@@ -95,7 +70,7 @@ DirectorySlice::entry(Addr block)
         dir_.emplace(blk, DirEntry{});
     } else {
         auto it = dir_.find(blk);
-        IF_DBG_ASSERT(it != dir_.end() && it->second == e &&
+        IF_DBG_ASSERT(it != dir_.end() && sameProtocolState(it->second, e) &&
                "flat directory diverged from the map oracle");
         static_cast<void>(it);
     }
@@ -104,21 +79,54 @@ DirectorySlice::entry(Addr block)
     return e;
 }
 
-DirectorySlice::DirEntry&
-DirectorySlice::legacyEntry(Addr blk)
+void
+DirectorySlice::acquireHome(DirEntry& e)
 {
-    IF_COLD_ALLOC("INVISIFENCE_DIR_FLAT=0 escape hatch: the legacy "
-                  "unordered_map directory allocates per distinct "
-                  "block; the production flat path does not run "
-                  "through here");
-    return dir_[blk];
+    IF_DBG_ASSERT(e.homeSlot == kNoHome && "block already busy");
+    std::uint32_t slot = homeFree_;
+    if (slot == kNoHome) {
+        slot = growHomes();
+    } else {
+        homeFree_ = homes_[slot].nextFree;
+    }
+    // Reused records carry the previous owner's fields; the waiting
+    // queue was drained before release and keeps its ring storage.
+    BlockHome& h = homes_[slot];
+    IF_DBG_ASSERT(h.waiting.empty());
+    h.txnActive = false;
+    e.homeSlot = slot;
+}
+
+void
+DirectorySlice::releaseHome(DirEntry& e)
+{
+    homes_[e.homeSlot].nextFree = homeFree_;
+    homeFree_ = e.homeSlot;
+    e.homeSlot = kNoHome;
+}
+
+std::uint32_t
+DirectorySlice::growHomes()
+{
+    IF_COLD_ALLOC("BlockHome slab growth: records are free-listed and "
+                  "reused, so the slab stops growing at the busy-block "
+                  "high-water mark reached during warmup");
+    homes_.emplace_back();
+    return static_cast<std::uint32_t>(homes_.size() - 1);
 }
 
 #ifndef NDEBUG
+bool
+DirectorySlice::sameProtocolState(const DirEntry& a, const DirEntry& b)
+{
+    return a.state == b.state && a.sharers == b.sharers &&
+           a.owner == b.owner && a.grantTxn == b.grantTxn;
+}
+
 void
 DirectorySlice::syncOracleFlush() const
 {
-    if (!useFlat_ || lastEntryKey_ == ~Addr{0})
+    if (lastEntryKey_ == ~Addr{0})
         return;
     const DirEntry* cur = dirFlat_.find(lastEntryKey_);
     IF_DBG_ASSERT(cur && "oracle-tracked block vanished from the flat table");
@@ -129,89 +137,63 @@ DirectorySlice::syncOracleFlush() const
 void
 DirectorySlice::verifyQuiescence() const
 {
-    if (useFlat_) {
-        syncOracleFlush();
-        IF_DBG_ASSERT(dirFlat_.size() == dir_.size() &&
-               "flat directory and map oracle disagree on entry count");
-        dirFlat_.forEach([this](Addr key, const DirEntry& value) {
-            auto it = dir_.find(key);
-            IF_DBG_ASSERT(it != dir_.end() && it->second == value &&
-                   "flat directory diverged from the map oracle");
-            static_cast<void>(it);
-        });
-    }
+    syncOracleFlush();
+    IF_DBG_ASSERT(dirFlat_.size() == dir_.size() &&
+           "flat directory and map oracle disagree on entry count");
     // The quiescence counters are maintained incrementally by every
-    // protocol step; recount them from scratch over the transient
-    // per-block state before quiescent() trusts them.
+    // protocol step; recount them from scratch over the busy blocks'
+    // transient state before quiescent() trusts them.
     std::uint64_t waiting = 0;
     std::uint64_t active = 0;
     std::uint64_t busy = 0;
-    home_.forEach([&](Addr, const BlockHome& h) {
+    dirFlat_.forEach([&](Addr key, const DirEntry& value) {
+        auto it = dir_.find(key);
+        IF_DBG_ASSERT(it != dir_.end() &&
+               sameProtocolState(it->second, value) &&
+               "flat directory diverged from the map oracle");
+        static_cast<void>(it);
+        if (value.homeSlot == kNoHome)
+            return;
+        const BlockHome& h = homes_[value.homeSlot];
         waiting += h.waiting.size();
         active += h.txnActive ? 1 : 0;
-        busy += h.busy ? 1 : 0;
+        ++busy;
     });
+    std::uint64_t free_homes = 0;
+    for (std::uint32_t i = homeFree_; i != kNoHome; i = homes_[i].nextFree)
+        ++free_homes;
     IF_DBG_ASSERT(waiting == waitingTotal_ &&
            "waitingTotal_ diverged from the waiting queues");
     IF_DBG_ASSERT(active == activeTxns_ &&
            "activeTxns_ diverged from the live transactions");
     IF_DBG_ASSERT(busy == busyBlocks_ &&
-           "busyBlocks_ diverged from the busy flags");
+           "busyBlocks_ diverged from the busy blocks");
+    IF_DBG_ASSERT(busy + free_homes + 1 == homes_.size() &&
+           "BlockHome slab leaked or double-owned a record");
     static_cast<void>(waiting);
     static_cast<void>(active);
     static_cast<void>(busy);
+    static_cast<void>(free_homes);
 }
 #endif
-
-DirectorySlice::BlockHome&
-DirectorySlice::home(Addr block)
-{
-    bool created = false;
-    BlockHome& h = home_.getOrCreate(blockAlign(block), &created);
-    if (created) {
-        // Recycled entries carry stale fields; the queue's clear() keeps
-        // its ring storage.
-        h.busy = false;
-        h.txnActive = false;
-        h.waiting.clear();
-    }
-    return h;
-}
-
-void
-DirectorySlice::maybeRecycleHome(Addr block)
-{
-    const Addr blk = blockAlign(block);
-    if (const BlockHome* h = home_.find(blk)) {
-        if (!h->busy && !h->txnActive && h->waiting.empty())
-            home_.recycle(blk);
-    }
-}
 
 DirectorySlice::EntryView
 DirectorySlice::inspect(Addr block) const
 {
     const Addr blk = blockAlign(block);
-    const DirEntry* e = nullptr;
-    if (useFlat_) {
-        e = dirFlat_.find(blk);
+    const DirEntry* e = dirFlat_.find(blk);
 #ifndef NDEBUG
-        if (blk != lastEntryKey_) {
-            // Skip the one key whose latest mutations are still only in
-            // the flat table (folded in at the next entry()/verify).
-            auto it = dir_.find(blk);
-            IF_DBG_ASSERT((e == nullptr) == (it == dir_.end()) &&
-                   "flat directory and map oracle disagree on presence");
-            IF_DBG_ASSERT((!e || *e == it->second) &&
-                   "flat directory diverged from the map oracle");
-            static_cast<void>(it);
-        }
-#endif
-    } else {
+    if (blk != lastEntryKey_) {
+        // Skip the one key whose latest mutations are still only in the
+        // flat table (folded in at the next entry()/verify).
         auto it = dir_.find(blk);
-        if (it != dir_.end())
-            e = &it->second;
+        IF_DBG_ASSERT((e == nullptr) == (it == dir_.end()) &&
+               "flat directory and map oracle disagree on presence");
+        IF_DBG_ASSERT((!e || sameProtocolState(*e, it->second)) &&
+               "flat directory diverged from the map oracle");
+        static_cast<void>(it);
     }
+#endif
     if (!e)
         return EntryView{};
     return EntryView{e->state, e->sharers, e->owner};
@@ -235,14 +217,13 @@ DirectorySlice::registerStats(StatRegistry& reg,
 void
 DirectorySlice::dumpTransients(std::FILE* out) const
 {
-    home_.forEach([&](Addr block, const BlockHome& h) {
-        if (!h.busy && !h.txnActive && h.waiting.empty())
+    dirFlat_.forEach([&](Addr block, const DirEntry& e) {
+        if (e.homeSlot == kNoHome)
             return;
-        std::fprintf(out,
-                     "  dir%u blk=%llx busy=%d active=%d waiting=%zu",
+        const BlockHome& h = homes_[e.homeSlot];
+        std::fprintf(out, "  dir%u blk=%llx active=%d waiting=%zu",
                      node_, static_cast<unsigned long long>(block),
-                     h.busy ? 1 : 0, h.txnActive ? 1 : 0,
-                     h.waiting.size());
+                     h.txnActive ? 1 : 0, h.waiting.size());
         if (h.txnActive) {
             const Txn& t = h.txn;
             std::fprintf(out,
@@ -287,31 +268,31 @@ DirectorySlice::deliver(const Msg& msg)
         handleResponse(msg);
         return;
     }
-    BlockHome& h = home(msg.blockAddr);
-    if (h.busy) {
-        h.waiting.push_back(msg);
+    DirEntry& e = entry(msg.blockAddr);
+    if (e.homeSlot != kNoHome) {
+        home(e).waiting.push_back(msg);
         ++waitingTotal_;
         ++statQueuedRequests;
         return;
     }
-    h.busy = true;
+    acquireHome(e);
     ++busyBlocks_;
     eq_.schedule(params_.procLatency, [this, msg]() { startTxn(msg); });
 }
 
 void
-DirectorySlice::startNextIfQueued(Addr block)
+DirectorySlice::startNextIfQueued(DirEntry& e)
 {
-    BlockHome* h = home_.find(blockAlign(block));
-    IF_DBG_ASSERT(h && h->busy && "finishing a transaction with no home state");
-    if (h->waiting.empty()) {
-        h->busy = false;
+    IF_DBG_ASSERT(e.homeSlot != kNoHome &&
+           "finishing a transaction with no home state");
+    BlockHome& h = home(e);
+    if (h.waiting.empty()) {
+        releaseHome(e);
         --busyBlocks_;
-        maybeRecycleHome(block);
         return;
     }
-    const Msg next = h->waiting.front();
-    h->waiting.pop_front();
+    const Msg next = h.waiting.front();
+    h.waiting.pop_front();
     --waitingTotal_;
     eq_.schedule(params_.procLatency, [this, next]() { startTxn(next); });
 }
@@ -325,24 +306,24 @@ DirectorySlice::startTxn(const Msg& req)
     // what the requester acts on; answering again would double-grant.
     // Checked here, after dequeue, so duplicates that queued behind
     // their original are caught once the original's record exists.
+    DirEntry& e = entry(req.blockAddr);
     if (req.txnId != 0 && wasCompleted(req.src, req.txnId)) {
         ++statDupsSquashed;
-        startNextIfQueued(req.blockAddr);
+        startNextIfQueued(e);
         return;
     }
-    DirEntry& e = entry(req.blockAddr);
     switch (req.type) {
       case MsgType::PutM:
       case MsgType::PutE:
       case MsgType::PutS:
         handlePut(req, e);
-        startNextIfQueued(req.blockAddr);
+        startNextIfQueued(e);
         return;
       default:
         break;
     }
 
-    BlockHome& h = home(req.blockAddr);
+    BlockHome& h = home(e);
     IF_DBG_ASSERT(!h.txnActive && "transaction already active on block");
     h.txnActive = true;
     ++activeTxns_;
@@ -358,7 +339,7 @@ DirectorySlice::startTxn(const Msg& req)
         ++statGetM;
         handleGetM(txn, e);
     }
-    maybeFinish(req.blockAddr);
+    maybeFinish(e);
 }
 
 void
@@ -478,29 +459,29 @@ DirectorySlice::beginMemRead(Addr block)
 {
     ++statMemReads;
     eq_.schedule(params_.memLatency, [this, block]() {
-        BlockHome* h = home_.find(blockAlign(block));
-        if (!h || !h->txnActive)
+        DirEntry& e = entry(block);
+        if (e.homeSlot == kNoHome || !home(e).txnActive)
             return;    // transaction satisfied by owner data instead
-        Txn& txn = h->txn;
+        Txn& txn = home(e).txn;
         txn.memDone = true;
         if (!txn.dataFromOwner) {
             txn.data = mem_.readBlock(block);
             txn.dataDirty = false;
         }
-        maybeFinish(block);
+        maybeFinish(e);
     });
 }
 
 void
 DirectorySlice::handleResponse(const Msg& msg)
 {
-    BlockHome* h = home_.find(blockAlign(msg.blockAddr));
-    if (!h || !h->txnActive) {
+    DirEntry& e = entry(msg.blockAddr);
+    if (e.homeSlot == kNoHome || !home(e).txnActive) {
         IF_PANIC("response %s with no active txn blk=%llx",
                  msgTypeName(msg.type).data(),
                  static_cast<unsigned long long>(msg.blockAddr));
     }
-    Txn& txn = h->txn;
+    Txn& txn = home(e).txn;
     switch (msg.type) {
       case MsgType::InvAck:
         IF_DBG_ASSERT(txn.pendingAcks > 0);
@@ -519,16 +500,18 @@ DirectorySlice::handleResponse(const Msg& msg)
         IF_PANIC("unexpected response %s at directory",
                  msgTypeName(msg.type).data());
     }
-    maybeFinish(msg.blockAddr);
+    maybeFinish(e);
 }
 
 void
-DirectorySlice::maybeFinish(Addr block)
+DirectorySlice::maybeFinish(DirEntry& e)
 {
-    BlockHome* h = home_.find(blockAlign(block));
-    if (!h || !h->txnActive)
+    if (e.homeSlot == kNoHome)
         return;
-    Txn& txn = h->txn;
+    BlockHome& h = home(e);
+    if (!h.txnActive)
+        return;
+    Txn& txn = h.txn;
     if (txn.needMem && !txn.memDone && !txn.dataFromOwner)
         return;
     if (txn.pendingAcks > 0)
@@ -536,14 +519,13 @@ DirectorySlice::maybeFinish(Addr block)
     if (txn.needOwnerData && !txn.ownerDataDone)
         return;
 
-    DirEntry& e = entry(block);
     if (txn.req.type == MsgType::GetS)
         finishGetS(txn, e);
     else
         finishGetM(txn, e);
-    h->txnActive = false;
+    h.txnActive = false;
     --activeTxns_;
-    startNextIfQueued(block);
+    startNextIfQueued(e);
 }
 
 void

@@ -10,10 +10,12 @@
  * from the memory system (Section 2.1): serialization of writes to each
  * address, and an acknowledgment when each store miss completes.
  *
- * Transient per-block state (busy flag, active transaction, waiting FIFO)
- * lives in one recycled map entry per block — a single hash lookup per
- * protocol step, and the entry's node plus its queue storage are pooled
- * and reused across transactions, so the steady state allocates nothing.
+ * All per-block state hangs off one open-addressed table entry
+ * (FlatAddrMap<DirEntry>), so every protocol step makes one hash probe.
+ * A busy block's transient state (active transaction, waiting FIFO)
+ * lives in a free-listed slab of BlockHome records that the entry points
+ * at by slot index; a record and its queue storage are reused across
+ * transactions, so the steady state allocates nothing.
  */
 
 #ifndef INVISIFENCE_COH_DIRECTORY_HH
@@ -21,10 +23,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <unordered_map>
-
 #include <string>
 #include <vector>
+#ifndef NDEBUG
+#include <unordered_map>
+#endif
 
 #include "sim/annotations.hh"
 #include "coh/home_map.hh"
@@ -34,7 +37,6 @@
 #include "mem/functional_mem.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
-#include "sim/recycling_map.hh"
 #include "sim/ring_deque.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -50,10 +52,6 @@ struct DirectoryParams
      *  per-block state table; sized so warm-started runs never grow it
      *  after warmup. Growth doubles and rehashes (warmup only). */
     std::uint32_t flatCapacity = 1u << 13;
-    /** Flat-table selector: -1 follows INVISIFENCE_DIR_FLAT (default
-     *  on), 0/1 force the legacy unordered_map / the flat table — the
-     *  per-instance override the A/B equivalence tests use. */
-    int flatTable = -1;
 
     /** @{ Fault tolerance (derived by the System; see AgentParams).
      *  When on, the slice deduplicates retried/duplicated requests by
@@ -87,8 +85,8 @@ class DirectorySlice
      * True when no transaction is active and no requests queue (tests).
      * The counters consulted here are maintained incrementally across
      * every protocol step; debug builds recount them from scratch over
-     * the transient-state map (and diff the flat table against its map
-     * oracle) before trusting them.
+     * the busy blocks' transient state (and diff the flat table against
+     * its map oracle) before trusting them.
      */
     bool
     quiescent() const
@@ -132,9 +130,25 @@ class DirectorySlice
     void dumpTransients(std::FILE* out) const;
 
   private:
+    /**
+     * DirEntry::homeSlot of a block with no transaction in flight, and
+     * the slab's free-list end. Slab record 0 is reserved so that this
+     * can be 0: a value-initialized DirEntry is then all zero bytes,
+     * so the table's value-lane fills (construction, growth) compile to
+     * memset. A nonzero sentinel measurably slowed System construction
+     * with 64 slices of 8K entries.
+     */
+    static constexpr std::uint32_t kNoHome = 0;
+
     struct DirEntry
     {
         DirState state = DirState::Idle;
+        /** Slab index of the block's BlockHome while the block is busy
+         *  (a transaction in flight or scheduled to start), kNoHome
+         *  otherwise. Host-side bookkeeping, not protocol state: it sits
+         *  in the padding after `state`, and the debug map oracle
+         *  ignores it (sameProtocolState). */
+        std::uint32_t homeSlot = kNoHome;
         SharerSet sharers{};
         NodeId owner = 0;
         /**
@@ -146,9 +160,9 @@ class DirectorySlice
          * ownership, even though owner == src looks valid.
          */
         std::uint32_t grantTxn = 0;
-
-        bool operator==(const DirEntry&) const = default;
     };
+    static_assert(sizeof(DirEntry) == 48,
+                  "homeSlot must fit in DirEntry's padding");
 
     /** Active transaction on a block. */
     struct Txn
@@ -165,47 +179,55 @@ class DirectorySlice
     };
 
     /**
-     * Transient home-side state of one block. Recycled wholesale
-     * (including the waiting queue's storage); every field is reset on
-     * reuse by resetHome().
+     * Transient home-side state of one busy block. Slab records are
+     * reused wholesale (including the waiting queue's storage);
+     * acquireHome() resets every field a new owner reads.
      */
     struct BlockHome
     {
-        bool busy = false;       //!< txn in flight or scheduled to start
         bool txnActive = false;  //!< txn holds a live transaction
         Txn txn{};
         RingDeque<Msg> waiting;  //!< FIFO of queued requests
+        std::uint32_t nextFree = kNoHome;  //!< free-list link
     };
 
+    /**
+     * Per-block state of @p block, created (Idle) on first touch. Every
+     * protocol step calls this once; the reference stays valid until
+     * the next entry() (which may grow the table).
+     */
     DirEntry& entry(Addr block);
-    /** Legacy-map path of entry() (escape-hatch allocation frontier). */
-    IF_COLD_FN DirEntry& legacyEntry(Addr blk);
+    /** The busy block's transient state (e.homeSlot must be set). */
+    BlockHome& home(const DirEntry& e) { return homes_[e.homeSlot]; }
+
+    /** @{ BlockHome slab: a block holds a record exactly while busy. */
+    void acquireHome(DirEntry& e);
+    void releaseHome(DirEntry& e);
+    /** Slab-growth slow path of acquireHome (cold allocation frontier). */
+    IF_COLD_FN std::uint32_t growHomes();
+    /** @} */
 
 #ifndef NDEBUG
+    /** Protocol-field equality: the debug oracle's comparison. */
+    static bool sameProtocolState(const DirEntry& a, const DirEntry& b);
     /**
      * Flush the mutations made through the last entry() reference into
      * the map oracle (callers mutate the returned ref after entry()
      * returns, so the oracle can only catch up at the next sync point).
-     * No-op when the flat table is off (dir_ is then the real store).
      */
     void syncOracleFlush() const;
     /** Full-table flat-vs-oracle comparison plus a from-scratch recount
-     *  of the quiescence counters over home_ (S3). */
+     *  of the quiescence counters over the busy blocks. */
     void verifyQuiescence() const;
 #endif
 
-    /** Transient state for @p block, created (reset) on demand. */
-    BlockHome& home(Addr block);
-    /** Drop @p block's transient entry if it went fully idle. */
-    void maybeRecycleHome(Addr block);
-
-    void startNextIfQueued(Addr block);
+    void startNextIfQueued(DirEntry& e);
     void startTxn(const Msg& req);
     void handleGetS(Txn& txn, DirEntry& e);
     void handleGetM(Txn& txn, DirEntry& e);
     void handlePut(const Msg& req, DirEntry& e);
     void handleResponse(const Msg& msg);
-    void maybeFinish(Addr block);
+    void maybeFinish(DirEntry& e);
     void finishGetS(Txn& txn, DirEntry& e);
     void finishGetM(Txn& txn, DirEntry& e);
     void beginMemRead(Addr block);
@@ -215,8 +237,9 @@ class DirectorySlice
 
     /** @{ Completed-transaction dedup record (fault-tolerant mode).
      *  Key = (src << 32) | txnId; a bounded FIFO ring evicts the
-     *  oldest record once dedupCapacity is reached. Map nodes recycle,
-     *  so steady-state churn is allocation-free after the ring wraps. */
+     *  oldest record once dedupCapacity is reached. The key table is
+     *  sized so the ring's live keys never grow it: churn after the
+     *  ring wraps is erase + insert, allocation-free. */
     static Addr
     dedupKey(NodeId src, std::uint32_t txn_id)
     {
@@ -233,27 +256,23 @@ class DirectorySlice
     FunctionalMemory& mem_;
     DirectoryParams params_;
 
-    bool useFlat_;
     /**
-     * Per-block directory state. With the flat table on, dirFlat_ is
-     * the store and dir_ (the legacy unordered_map) survives in debug
-     * builds only, as a shadow oracle cross-checked on every entry()
-     * and in verifyQuiescence(); with the flat table off, dir_ is the
-     * store and dirFlat_ stays empty. Directory state is never erased,
-     * so the flat table only inserts (growth doubles + rehashes, which
+     * Per-block directory state. Directory state is never erased, so
+     * the table only inserts (growth doubles + rehashes, which
      * warm-started runs absorb during warmup).
      */
     FlatAddrMap<DirEntry> dirFlat_;
 #ifndef NDEBUG
+    /** Shadow oracle of dirFlat_'s protocol fields, cross-checked on
+     *  every entry() and in verifyQuiescence(). */
     mutable std::unordered_map<Addr, DirEntry> dir_;
     /** Key of the last entry() reference not yet folded into dir_. */
     mutable Addr lastEntryKey_ = ~Addr{0};
-#else
-    std::unordered_map<Addr, DirEntry> dir_;
 #endif
-    RecyclingMap<Addr, BlockHome> home_;
-    /** @{ Dedup record storage; empty unless faultTolerant. */
-    RecyclingMap<Addr, std::uint8_t> dedup_;
+    std::vector<BlockHome> homes_;   //!< transient-state slab; [0] unused
+    std::uint32_t homeFree_ = kNoHome;
+    /** @{ Dedup record storage; sized only when faultTolerant. */
+    FlatAddrMap<std::uint8_t> dedup_{0};
     std::vector<Addr> dedupRing_;
     std::size_t dedupHead_ = 0;
     /** @} */

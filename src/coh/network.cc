@@ -79,7 +79,7 @@ Network::attach(NodeId node, Unit unit, Sink sink)
     IF_DBG_ASSERT(node < numNodes_);
     Endpoint& ep = endpoints_[node * 2 + static_cast<std::size_t>(unit)];
     ep = Endpoint{};
-    ep.fn = std::move(sink);
+    ep.sink = sink;
 }
 
 std::uint32_t
@@ -120,8 +120,9 @@ Network::dispatch(std::uint32_t sink_idx, const Msg& msg)
     } else if (ep.dir) {
         ep.dir->deliver(msg);
     } else {
-        IF_DBG_ASSERT(ep.fn && "message dispatched to unattached endpoint");
-        ep.fn(msg);
+        IF_DBG_ASSERT(ep.sink.fn &&
+                      "message dispatched to unattached endpoint");
+        ep.sink.fn(ep.sink.ctx, msg);
     }
 }
 

@@ -13,15 +13,14 @@
  * pointers (CacheAgent / DirectorySlice, whose deliver() members are
  * called directly), not per-endpoint std::function sinks, and send()
  * moves the Msg once into the event queue's pooled slot instead of
- * copying it into a heap-allocated closure. A std::function fallback
- * remains for tests that attach custom sinks.
+ * copying it into a heap-allocated closure. Tests that intercept an
+ * endpoint's traffic attach a typed {function, context} sink instead.
  */
 
 #ifndef INVISIFENCE_COH_NETWORK_HH
 #define INVISIFENCE_COH_NETWORK_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "coh/message.hh"
@@ -70,8 +69,16 @@ TorusDims torusDims(const NetworkParams& params, std::uint32_t num_nodes);
 class Network
 {
   public:
-    // iflint:allow(std-function) test-only fallback sink: production traffic dispatches through the typed endpoint table below; attach() is never on the steady-state path.
-    using Sink = std::function<void(const Msg&)>;
+    /**
+     * Custom receiver for attach(): a plain function applied to
+     * {ctx, msg}, in the style of FillWaiter (tests intercept an
+     * endpoint's traffic with one; production endpoints are typed).
+     */
+    struct Sink
+    {
+        void (*fn)(void* ctx, const Msg& msg) = nullptr;
+        void* ctx = nullptr;
+    };
 
     Network(EventQueue& eq, const NetworkParams& params,
             std::uint32_t num_nodes);
@@ -81,7 +88,8 @@ class Network
     void attachDirectory(NodeId node, DirectorySlice* dir);
     /** @} */
 
-    /** Register a custom std::function sink (tests only; slower path). */
+    /** Register a custom sink for (node, unit), replacing any typed
+     *  receiver (tests only). */
     void attach(NodeId node, Unit unit, Sink sink);
 
     /** Send @p msg; delivery is scheduled after the topological delay. */
@@ -115,13 +123,13 @@ class Network
     {
         CacheAgent* agent = nullptr;
         DirectorySlice* dir = nullptr;
-        Sink fn;   //!< test-only fallback
+        Sink sink;   //!< custom receiver (tests)
 
         bool
         attached() const
         {
             return agent != nullptr || dir != nullptr ||
-                   static_cast<bool>(fn);
+                   sink.fn != nullptr;
         }
     };
 

@@ -226,8 +226,9 @@ TEST(SteadyStateAllocs, ZeroPerCycleWithFaultInjectionEnabled)
     // request, the directory tags a dedup record per completed
     // transaction, and the watchdog check runs once per loop iteration.
     // All of it must be allocation-free at steady state. The dedup ring
-    // is shrunk so it wraps (and its RecyclingMap pool warms) inside
-    // the warmup window; production capacity only delays the wrap.
+    // is shrunk so it wraps (every later record is an erase + insert in
+    // its presized key table) inside the warmup window; production
+    // capacity only delays the wrap.
     const SyntheticParams params = smallParams();
     for (const ImplKind kind : {ImplKind::ConvSC, ImplKind::Continuous}) {
         SCOPED_TRACE(implKindName(kind));

@@ -112,10 +112,12 @@ TEST(Network, DeliversToAttachedSink)
     EventQueue eq;
     Network net(eq, NetworkParams{2, 1, 10, 1}, 2);
     int got = 0;
-    net.attach(1, Unit::Agent, [&](const Msg& m) {
-        EXPECT_EQ(m.type, MsgType::GetS);
-        ++got;
-    });
+    net.attach(1, Unit::Agent,
+               {[](void* ctx, const Msg& m) {
+                    EXPECT_EQ(m.type, MsgType::GetS);
+                    ++*static_cast<int*>(ctx);
+                },
+                &got});
     Msg m;
     m.type = MsgType::GetS;
     m.src = 0;
@@ -133,9 +135,12 @@ TEST(Network, PerPairFifoOrder)
     EventQueue eq;
     Network net(eq, NetworkParams{2, 1, 10, 1}, 2);
     std::vector<int> order;
-    net.attach(1, Unit::Agent, [&](const Msg& m) {
-        order.push_back(static_cast<int>(m.blockAddr));
-    });
+    net.attach(1, Unit::Agent,
+               {[](void* ctx, const Msg& m) {
+                    static_cast<std::vector<int>*>(ctx)->push_back(
+                        static_cast<int>(m.blockAddr));
+                },
+                &order});
     for (int i = 0; i < 4; ++i) {
         Msg m;
         m.blockAddr = static_cast<Addr>(i);
@@ -385,30 +390,40 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomParam{4, 13}, RandomParam{8, 5},
                       RandomParam{8, 17}, RandomParam{16, 23}));
 
-// --------------------------------------- flat directory vs map oracle
+// ------------------------------- flat directory: growth vs presized
 
-TEST(DirectoryFlat, RandomizedFlatVsMapSystemEquivalence)
+namespace {
+
+/**
+ * Two identical rigs, one whose per-block table starts deliberately
+ * tiny (so it grows and rehashes under live traffic, with busy blocks'
+ * slab slots riding in the moved entries) and one at the default
+ * capacity that never grows, driven by the same deterministic
+ * request/prime stream. Every directory slice must end bit-equivalent.
+ * With @p fault_tolerant the agents tag their requests and the slices
+ * keep a small dedup ring, which wraps at least twice over the run.
+ */
+void
+checkGrowingTableMatchesPresized(bool fault_tolerant)
 {
-    // Two identical rigs, one with the flat per-block table forced on
-    // (at a deliberately tiny capacity, so the table grows and
-    // rehashes under live traffic) and one forced back to the
-    // unordered_map, driven by the same deterministic request/prime
-    // stream. Every directory slice must end bit-equivalent.
     constexpr std::uint32_t kNodes = 4;
     constexpr std::uint32_t kBlocks = 192;   // >> 16-slot initial table
-    DirectoryParams flat_dp{40, 5};
-    flat_dp.flatTable = 1;
-    flat_dp.flatCapacity = 16;
-    DirectoryParams map_dp{40, 5};
-    map_dp.flatTable = 0;
-    Rig flat_rig(kNodes, AgentParams{}, flat_dp);
-    Rig map_rig(kNodes, AgentParams{}, map_dp);
+    AgentParams ap;
+    ap.faultTolerant = fault_tolerant;
+    DirectoryParams small_dp{40, 5};
+    small_dp.flatCapacity = 16;
+    small_dp.faultTolerant = fault_tolerant;
+    small_dp.dedupCapacity = 32;
+    DirectoryParams big_dp = small_dp;
+    big_dp.flatCapacity = DirectoryParams{}.flatCapacity;
+    Rig small_rig(kNodes, ap, small_dp);
+    Rig big_rig(kNodes, ap, big_dp);
 
     // Prime a slab of blocks outside the traffic range identically.
     for (std::uint32_t b = 0; b < 32; ++b) {
         const Addr addr =
             static_cast<Addr>(kBlocks + b) * kBlockBytes;
-        for (Rig* rig : {&flat_rig, &map_rig}) {
+        for (Rig* rig : {&small_rig, &big_rig}) {
             DirectorySlice& d = *rig->dirs[homeOf(addr, kNodes)];
             if (b % 2 == 0) {
                 SharerSet sharers = SharerSet::single(b % kNodes);
@@ -429,35 +444,113 @@ TEST(DirectoryFlat, RandomizedFlatVsMapSystemEquivalence)
             const bool write = rng.below(2) == 0;
             // Identical accept/reject decisions are part of the
             // equivalence claim.
-            ASSERT_EQ(flat_rig.agents[n]->request(addr, write),
-                      map_rig.agents[n]->request(addr, write));
+            ASSERT_EQ(small_rig.agents[n]->request(addr, write),
+                      big_rig.agents[n]->request(addr, write));
         }
-        flat_rig.settle(2000);
-        map_rig.settle(2000);
+        small_rig.settle(2000);
+        big_rig.settle(2000);
     }
-    flat_rig.settle();
-    map_rig.settle();
+    small_rig.settle();
+    big_rig.settle();
 
     for (std::uint32_t b = 0; b < kBlocks + 32; ++b) {
         const Addr addr = static_cast<Addr>(b) * kBlockBytes;
         const NodeId home = homeOf(addr, kNodes);
-        const DirectorySlice::EntryView fv =
-            flat_rig.dirs[home]->inspect(addr);
-        const DirectorySlice::EntryView mv =
-            map_rig.dirs[home]->inspect(addr);
-        ASSERT_EQ(static_cast<int>(fv.state), static_cast<int>(mv.state))
+        const DirectorySlice::EntryView sv =
+            small_rig.dirs[home]->inspect(addr);
+        const DirectorySlice::EntryView bv =
+            big_rig.dirs[home]->inspect(addr);
+        ASSERT_EQ(static_cast<int>(sv.state), static_cast<int>(bv.state))
             << "block " << b;
-        ASSERT_EQ(fv.sharers, mv.sharers) << "block " << b;
-        ASSERT_EQ(fv.owner, mv.owner) << "block " << b;
+        ASSERT_EQ(sv.sharers, bv.sharers) << "block " << b;
+        ASSERT_EQ(sv.owner, bv.owner) << "block " << b;
     }
     for (NodeId n = 0; n < kNodes; ++n) {
-        ASSERT_TRUE(flat_rig.dirs[n]->quiescent());
-        ASSERT_TRUE(map_rig.dirs[n]->quiescent());
-        EXPECT_EQ(flat_rig.dirs[n]->statStaleWritebacks,
-                  map_rig.dirs[n]->statStaleWritebacks);
-        EXPECT_EQ(flat_rig.dirs[n]->statQueuedRequests,
-                  map_rig.dirs[n]->statQueuedRequests);
+        const DirectorySlice& sd = *small_rig.dirs[n];
+        const DirectorySlice& bd = *big_rig.dirs[n];
+        ASSERT_TRUE(sd.quiescent());
+        ASSERT_TRUE(bd.quiescent());
+        EXPECT_EQ(sd.statGetS, bd.statGetS);
+        EXPECT_EQ(sd.statGetM, bd.statGetM);
+        EXPECT_EQ(sd.statStaleWritebacks, bd.statStaleWritebacks);
+        EXPECT_EQ(sd.statQueuedRequests, bd.statQueuedRequests);
+        EXPECT_EQ(sd.statDupsSquashed, bd.statDupsSquashed);
+        // Enough completed transactions that the 32-record dedup ring
+        // wraps at least twice in the fault-tolerant run.
+        EXPECT_GT(sd.statGetS + sd.statGetM, 2u * small_dp.dedupCapacity);
     }
+}
+
+} // namespace
+
+TEST(DirectoryFlat, GrowingTableMatchesPresizedTable)
+{
+    checkGrowingTableMatchesPresized(false);
+}
+
+TEST(DirectoryFlat, GrowingTableMatchesPresizedTableFaultTolerant)
+{
+    checkGrowingTableMatchesPresized(true);
+}
+
+// ------------------------------------------------ dedup ring wrap-around
+
+TEST(DirectoryDedup, RingWrapKeepsExactlyTheNewestRecords)
+{
+    // A fault-tolerant slice remembers its last dedupCapacity completed
+    // (src, txnId) tags. Complete three times that many tagged GetS
+    // transactions from four sources, so FIFO eviction erases eight
+    // records out of the key table, then re-deliver a duplicate of each
+    // of the four newest: all four must still be squashed with no
+    // response. The keys share probe chains in the 16-slot table, so an
+    // erase that dropped, or failed to shift back, a neighbouring key
+    // would let duplicates through as fresh requests.
+    constexpr std::uint32_t kNodes = 8;
+    constexpr std::uint32_t kSrcs = 4;
+    constexpr std::uint32_t kCap = 4;
+    constexpr std::uint32_t kTxns = 3 * kCap;
+    EventQueue eq;
+    FunctionalMemory mem;
+    Network net(eq, NetworkParams{kNodes, 1, 20, 1}, kNodes);
+    DirectoryParams dp{40, 5};
+    dp.faultTolerant = true;
+    dp.dedupCapacity = kCap;
+    DirectorySlice dir(0, kNodes, net, eq, mem, dp);
+    int responses = 0;
+    for (NodeId n = 0; n < kNodes; ++n) {
+        net.attach(n, Unit::Agent,
+                   {[](void* ctx, const Msg&) {
+                        ++*static_cast<int*>(ctx);
+                    },
+                    &responses});
+    }
+
+    std::vector<Msg> sent;
+    for (std::uint32_t i = 0; i < kTxns; ++i) {
+        Msg m;
+        m.type = MsgType::GetS;
+        // Distinct blocks homed at node 0, so every GetS is a cold
+        // Idle -> Exclusive grant that completes on its own.
+        m.blockAddr = static_cast<Addr>(i + 1) * kNodes * kBlockBytes;
+        m.src = 1 + i % kSrcs;
+        m.dst = 0;
+        m.dstUnit = Unit::Directory;
+        m.requester = m.src;
+        m.txnId = 1 + i / kSrcs;
+        dir.deliver(m);
+        sent.push_back(m);
+        eq.drain();
+    }
+    ASSERT_EQ(responses, static_cast<int>(kTxns));
+    ASSERT_TRUE(dir.quiescent());
+    EXPECT_EQ(dir.statDupsSquashed, 0u);
+
+    for (std::uint32_t i = kTxns - kCap; i < kTxns; ++i)
+        dir.deliver(sent[i]);
+    eq.drain();
+    EXPECT_EQ(dir.statDupsSquashed, static_cast<std::uint64_t>(kCap));
+    EXPECT_EQ(responses, static_cast<int>(kTxns));
+    EXPECT_TRUE(dir.quiescent());
 }
 
 // --------------------------------------------- local-fill event batching
@@ -474,14 +567,8 @@ TEST(CacheAgentBatch, SameTickLocalFillsShareOneEvent)
     for (int i = 0; i < kLoads; ++i)
         ASSERT_TRUE(rig.agents[0]->request(
             addr, false, countWaiter(&done, static_cast<std::uint64_t>(i))));
-    const std::uint64_t scheduled = rig.eq.scheduledCount() - before;
-    if (rig.agents[0]->mshrs().indexEnabled()) {
-        // One batch event carries all five waiters.
-        EXPECT_EQ(scheduled, 1u);
-    } else {
-        // Escape hatch: the legacy one-event-per-request path.
-        EXPECT_EQ(scheduled, static_cast<std::uint64_t>(kLoads));
-    }
+    // One batch event carries all five waiters.
+    EXPECT_EQ(rig.eq.scheduledCount() - before, 1u);
     rig.settle();
     EXPECT_EQ(done, kLoads);
 }

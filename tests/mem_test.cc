@@ -1030,52 +1030,73 @@ TEST(FlatMap, RandomizedOracleWithGrowthAndErase)
 
 // -------------------------------------------------- MSHR index + dedup
 
-TEST(MshrIndex, OnOffLookupEquivalence)
+TEST(MshrIndex, MatchesVectorScanModel)
 {
-    // The same allocate/lookup/free stream through an indexed file and
-    // a forced-scan file must agree call for call.
-    MshrFile indexed(8, /*use_index=*/1);
-    MshrFile scanned(8, /*use_index=*/0);
-    ASSERT_TRUE(indexed.indexEnabled());
-    ASSERT_FALSE(scanned.indexEnabled());
+    // A random allocate/lookup/free stream through the indexed file
+    // must agree call for call with a naive vector-scan reference model
+    // (which also pins the Fetch-before-Writeback order of the kindless
+    // lookup and the capacity limit).
+    struct Live
+    {
+        Addr blk;
+        Mshr::Kind kind;
+        Mshr* m;
+    };
+    constexpr std::uint32_t kCap = 8;
+    MshrFile file(kCap);
+    std::vector<Live> model;
+    const auto modelFind = [&](Addr blk, Mshr::Kind kind) -> Mshr* {
+        for (const Live& l : model) {
+            if (l.blk == blk && l.kind == kind)
+                return l.m;
+        }
+        return nullptr;
+    };
     Rng rng(42);
     for (int step = 0; step < 4000; ++step) {
         const Addr blk = (rng.below(24) + 1) << 6;
         const auto kind = rng.below(2) == 0 ? Mshr::Kind::Fetch
                                             : Mshr::Kind::Writeback;
         switch (rng.below(3)) {
-          case 0: {
-            Mshr* a = indexed.lookup(blk, kind) == nullptr
-                          ? indexed.allocate(blk, kind)
-                          : nullptr;
-            Mshr* b = scanned.lookup(blk, kind) == nullptr
-                          ? scanned.allocate(blk, kind)
-                          : nullptr;
-            EXPECT_EQ(a == nullptr, b == nullptr);
+          case 0:
+            if (modelFind(blk, kind) == nullptr) {
+                Mshr* m = file.allocate(blk, kind);
+                if (model.size() < kCap) {
+                    ASSERT_NE(m, nullptr);
+                    EXPECT_EQ(m->blockAddr, blk);
+                    model.push_back({blk, kind, m});
+                } else {
+                    EXPECT_EQ(m, nullptr);
+                }
+            }
+            break;
+          case 1: {
+            EXPECT_EQ(file.lookup(blk, kind), modelFind(blk, kind));
+            Mshr* any = modelFind(blk, Mshr::Kind::Fetch);
+            if (!any)
+                any = modelFind(blk, Mshr::Kind::Writeback);
+            EXPECT_EQ(file.lookup(blk), any);
             break;
           }
-          case 1:
-            EXPECT_EQ(indexed.lookup(blk, kind) == nullptr,
-                      scanned.lookup(blk, kind) == nullptr);
-            EXPECT_EQ(indexed.lookup(blk) == nullptr,
-                      scanned.lookup(blk) == nullptr);
-            break;
           case 2:
-            if (Mshr* a = indexed.lookup(blk, kind)) {
-                Mshr* b = scanned.lookup(blk, kind);
-                ASSERT_NE(b, nullptr);
-                indexed.free(a);
-                scanned.free(b);
+            for (std::size_t i = 0; i < model.size(); ++i) {
+                if (model[i].blk == blk && model[i].kind == kind) {
+                    file.free(model[i].m);
+                    model.erase(model.begin() +
+                                static_cast<std::ptrdiff_t>(i));
+                    break;
+                }
             }
             break;
         }
-        ASSERT_EQ(indexed.inUse(), scanned.inUse());
+        ASSERT_EQ(file.inUse(), model.size());
+        ASSERT_EQ(file.full(), model.size() == kCap);
     }
 }
 
 TEST(MshrIndex, IdenticalWaitersDedupWithStat)
 {
-    MshrFile f(4, /*use_index=*/1);
+    MshrFile f(4);
     Mshr* m = f.allocate(0x300, Mshr::Kind::Fetch);
     int fired = 0;
     // Three pushes of the same record collapse to one waiter node;
@@ -1085,23 +1106,6 @@ TEST(MshrIndex, IdenticalWaitersDedupWithStat)
     f.pushWaiter(m->readWaiters, bumpWaiter(&fired, 7));
     f.pushWaiter(m->readWaiters, bumpWaiter(&fired, 8));
     EXPECT_EQ(f.statWaiterDedups, 2u);
-    std::uint32_t idx = f.takeWaiters(m->readWaiters);
-    while (idx != kNoWaiter) {
-        FillWaiter cb = f.takeWaiterAndAdvance(idx);
-        cb();
-    }
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(MshrIndex, ScanModeKeepsDuplicateWaiters)
-{
-    // The escape hatch restores the legacy chain: no dedup.
-    MshrFile f(4, /*use_index=*/0);
-    Mshr* m = f.allocate(0x300, Mshr::Kind::Fetch);
-    int fired = 0;
-    f.pushWaiter(m->readWaiters, bumpWaiter(&fired, 7));
-    f.pushWaiter(m->readWaiters, bumpWaiter(&fired, 7));
-    EXPECT_EQ(f.statWaiterDedups, 0u);
     std::uint32_t idx = f.takeWaiters(m->readWaiters);
     while (idx != kNoWaiter) {
         FillWaiter cb = f.takeWaiterAndAdvance(idx);
