@@ -53,16 +53,16 @@ benchCallbacks(std::uint64_t count)
                         std::chrono::duration<double>(t1 - t0).count());
 }
 
-/** Same shape with full Msg payloads through the dispatch path. */
+/**
+ * Same shape with full Msg payloads: each event is a callback whose
+ * closure carries {receiver, endpoint index, Msg} — the closure Network
+ * schedules for every delivery, and the largest the queue stores.
+ */
 double
 benchMessages(std::uint64_t count)
 {
     EventQueue eq;
-    eq.setMsgDispatcher(
-        [](void*, std::uint32_t, const Msg& m) {
-            g_sink += m.blockAddr;
-        },
-        nullptr);
+    std::uint64_t* const sink = &g_sink;
     Msg msg;
     msg.type = MsgType::Inv;
     msg.hasData = true;
@@ -71,8 +71,13 @@ benchMessages(std::uint64_t count)
     while (scheduled < count) {
         for (int i = 0; i < 64 && scheduled < count; ++i, ++scheduled) {
             msg.blockAddr = scheduled * kBlockBytes;
-            eq.scheduleMsg(static_cast<Cycle>(1 + (i % 37)),
-                           static_cast<std::uint32_t>(i % 32), msg);
+            const auto idx = static_cast<std::uint32_t>(i % 32);
+            const auto deliver = [sink, idx, msg]() {
+                *sink += msg.blockAddr + idx;
+            };
+            static_assert(sizeof(deliver) == kEventInlineBytes,
+                          "message events must fill the inline payload");
+            eq.schedule(static_cast<Cycle>(1 + (i % 37)), deliver);
         }
         eq.advanceTo(eq.now() + 40);
     }

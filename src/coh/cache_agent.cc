@@ -86,12 +86,6 @@ CacheAgent::probe(Addr addr) const
 }
 
 bool
-CacheAgent::l1Present(Addr addr) const
-{
-    return static_cast<bool>(l1_.lookup(addr));
-}
-
-bool
 CacheAgent::l1Readable(Addr addr) const
 {
     if (!l1_.lookup(addr))
@@ -113,13 +107,6 @@ CacheAgent::l1Dirty(Addr addr) const
 {
     const CacheArray::Line l1line = l1_.lookup(addr);
     return l1line && l1line.dirty();
-}
-
-bool
-CacheAgent::l1SpecWritten(Addr addr) const
-{
-    const CacheArray::Line l1line = l1_.lookup(addr);
-    return l1line && l1line.specWrittenAny();
 }
 
 bool
@@ -308,14 +295,14 @@ CacheAgent::markSpecReadIfPresent(Addr addr, std::uint32_t ctx)
 }
 
 bool
-CacheAgent::cleanWriteback(Addr addr, FillCallback cb)
+CacheAgent::cleanWriteback(Addr addr, FillWaiter cb)
 {
     const Addr block = blockAlign(addr);
     const CacheArray::Line l1line = l1_.lookup(block);
     if (!l1line || !l1line.dirty())
         return false;
     ++statCleanWritebacks;
-    eq_.schedule(params_.l2Latency, [this, block, cb]() mutable {
+    eq_.schedule(params_.l2Latency, [this, block, cb]() {
         const CacheArray::Line line = l1_.lookup(block);
         if (line && line.dirty() && !line.specWrittenAny())
             syncL2FromL1(line, l2_.lookup(block));
@@ -336,12 +323,6 @@ CacheAgent::flashAbort(std::uint32_t ctx)
 {
     l1_.flashInvalidateSpecWritten(ctx);
     specLines_ = l1_.countSpeculative(0) + l1_.countSpeculative(1);
-}
-
-std::uint32_t
-CacheAgent::specBlockCount(std::uint32_t ctx) const
-{
-    return l1_.countSpeculative(ctx);
 }
 
 void
@@ -797,12 +778,6 @@ CacheAgent::installL1(Addr block, CacheArray::Line l2line)
     if (listener_)
         listener_->onL1Install(block);
     return victim;
-}
-
-void
-CacheAgent::syncL2FromL1(Addr block)
-{
-    syncL2FromL1(l1_.lookup(block), l2_.lookup(block));
 }
 
 void

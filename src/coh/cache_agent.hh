@@ -30,7 +30,6 @@
 #include "mem/mshr.hh"
 #include "mem/victim_cache.hh"
 #include "sim/event_queue.hh"
-#include "sim/inplace_fn.hh"
 #include "sim/ring_deque.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -50,7 +49,7 @@ struct AgentParams
     Cycle victimLatency = 3;
     std::uint32_t mshrs = 32;
 
-    /** @{ Fault-tolerance knobs (see sim/fault.hh). A nonzero
+    /** @{ Fault-tolerance knobs (see coh/fault.hh). A nonzero
      *  retryTimeout arms a retransmit deadline per outstanding request
      *  (exponential backoff, bounded attempts). faultTolerant is
      *  derived by the System — set whenever faults or retries are
@@ -113,11 +112,9 @@ class CacheAgent
     }
 
     /** @{ Presence and permission probes (L2 state is authoritative). */
-    bool l1Present(Addr addr) const;
     bool l1Readable(Addr addr) const;
     bool l1Writable(Addr addr) const;
     bool l1Dirty(Addr addr) const;
-    bool l1SpecWritten(Addr addr) const;
     /** @} */
 
     /**
@@ -161,7 +158,7 @@ class CacheAgent
     void setSpecRead(Addr addr, std::uint32_t ctx);
 
     /**
-     * Combined l1Present + setSpecRead: one resolution. False (and no
+     * Combined L1 presence probe + setSpecRead: one resolution. False (and no
      * marking) when the block is not L1-resident.
      */
     bool markSpecReadIfPresent(Addr addr, std::uint32_t ctx);
@@ -185,10 +182,11 @@ class CacheAgent
     /**
      * Clean-writeback: copy the L1's dirty data down to the L2 so the
      * pre-speculative value survives an abort (Section 3.2, speculative
-     * stores). @p cb runs when the copy completes. Returns false when the
+     * stores). @p cb — the same {fn, owner, arg} record as a fill
+     * waiter — runs when the copy completes. Returns false when the
      * block is not dirty in L1 (no cleaning needed; @p cb not called).
      */
-    bool cleanWriteback(Addr addr, FillCallback cb);
+    bool cleanWriteback(Addr addr, FillWaiter cb);
 
     /** Commit context @p ctx: flash-clear its speculative bits. */
     void flashCommit(std::uint32_t ctx);
@@ -198,9 +196,6 @@ class CacheAgent
      * and clear the context's bits (Figure 3 conditional clear).
      */
     void flashAbort(std::uint32_t ctx);
-
-    /** Number of L1 lines with speculative bits in @p ctx (O(1)). */
-    std::uint32_t specBlockCount(std::uint32_t ctx) const;
 
     /** O(1) count of L1 lines holding any speculative bit. */
     std::uint32_t specFootprint() const { return specLines_; }
@@ -300,7 +295,6 @@ class CacheAgent
     /** Backoff delay before attempt @p attempt's deadline. */
     Cycle backoffFor(std::uint32_t attempt) const;
     /** Propagate dirty L1 data into the L2 line. */
-    void syncL2FromL1(Addr block);
     void syncL2FromL1(CacheArray::Line l1line, CacheArray::Line l2line);
     /** Number of fetch-kind MSHRs in use. */
     std::uint32_t fetchCount() const { return fetchCount_; }

@@ -1,4 +1,4 @@
-#include "sim/fault.hh"
+#include "coh/fault.hh"
 
 #include <algorithm>
 
@@ -6,9 +6,8 @@
 
 namespace invisifence {
 
-FaultInjector::FaultInjector(const FaultPlan& plan, std::uint32_t num_nodes,
-                             EventQueue& eq)
-    : plan_(plan), rng_(plan.seed), numNodes_(num_nodes), eq_(eq)
+FaultInjector::FaultInjector(const FaultPlan& plan, std::uint32_t num_nodes)
+    : plan_(plan), rng_(plan.seed), numNodes_(num_nodes)
 {
     if (num_nodes == 0)
         IF_FATAL("fault injector over an empty fabric");
@@ -36,9 +35,8 @@ FaultInjector::clampFifo(std::uint32_t src, std::uint32_t sink_idx,
     return due;
 }
 
-void
-FaultInjector::route(const Msg& msg, std::uint32_t sink_idx,
-                     std::uint32_t wake, Cycle base_delay)
+FaultFate
+FaultInjector::route(const Msg& msg, std::uint32_t sink_idx, Cycle due)
 {
     // Reachable from Network::send (IF_HOT): no allocation on any path.
     ++msgIndex_;
@@ -89,7 +87,7 @@ FaultInjector::route(const Msg& msg, std::uint32_t sink_idx,
         // Vanished messages leave the pair's FIFO horizon untouched: a
         // drop is not a delivery, so it cannot constrain later ones.
         ++statDrops;
-        return;
+        return FaultFate{};
     }
 
     if (extra != 0) {
@@ -99,16 +97,14 @@ FaultInjector::route(const Msg& msg, std::uint32_t sink_idx,
     // Every delivery — faulted or not — passes through the per-pair
     // clamp while the injector is attached: an earlier delayed message
     // must push back later same-pair sends to preserve FIFO.
-    const Cycle due =
-        clampFifo(msg.src, sink_idx, eq_.now() + base_delay + extra);
-    eq_.scheduleMsg(due - eq_.now(), sink_idx, msg, wake);
-
+    FaultFate fate;
+    fate.due = clampFifo(msg.src, sink_idx, due + extra);
     if (dup) {
         ++statDups;
         const Cycle gap = 1 + rng_.below(plan_.maxExtraDelay);
-        const Cycle dup_due = clampFifo(msg.src, sink_idx, due + gap);
-        eq_.scheduleMsg(dup_due - eq_.now(), sink_idx, msg, wake);
+        fate.dupDue = clampFifo(msg.src, sink_idx, fate.due + gap);
     }
+    return fate;
 }
 
 } // namespace invisifence

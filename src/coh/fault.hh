@@ -5,10 +5,14 @@
  * A FaultPlan describes what goes wrong (per-message-class drop /
  * extra-delay / duplicate rates plus scheduled one-shot faults); a
  * FaultInjector executes the plan at Network::send time, deciding each
- * message's fate from its own seeded Rng. Decisions are a pure function
- * of the plan and the message sequence, so the same seed yields the
- * same faults — and because the message sequence is itself identical
- * across fast-forward on/off, fault runs stay bit-identical too.
+ * message's fate from its own seeded Rng. The injector only decides —
+ * it returns a FaultFate (dropped, or due cycles for the delivery and
+ * an optional duplicate) and the Network schedules the deliveries — so
+ * it owns no event queue and can be driven directly. Decisions are a
+ * pure function of the plan and the message sequence, so the same seed
+ * yields the same faults — and because the message sequence is itself
+ * identical across fast-forward on/off, fault runs stay bit-identical
+ * too.
  *
  * Two invariants keep injected faults recoverable:
  *
@@ -25,14 +29,13 @@
  *    loss and latency, not properties the hardware fabric guarantees.
  */
 
-#ifndef INVISIFENCE_SIM_FAULT_HH
-#define INVISIFENCE_SIM_FAULT_HH
+#ifndef INVISIFENCE_COH_FAULT_HH
+#define INVISIFENCE_COH_FAULT_HH
 
 #include <cstdint>
 #include <vector>
 
 #include "coh/message.hh"
-#include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -73,26 +76,33 @@ struct FaultPlan
     }
 };
 
+/** One message's fate: dropped, or delivered (possibly twice). */
+struct FaultFate
+{
+    Cycle due = kNeverCycle;      //!< delivery cycle; kNeverCycle = dropped
+    Cycle dupDue = kNeverCycle;   //!< duplicate's delivery, if any
+
+    bool dropped() const { return due == kNeverCycle; }
+};
+
 /**
  * Executes a FaultPlan on the send path. Owned by the System and
  * attached to the Network only when the plan injects something; the
- * decide/route path performs no heap allocation (it runs inside the
- * IF_HOT send path).
+ * route path performs no heap allocation (it runs inside the IF_HOT
+ * send path).
  */
 class FaultInjector
 {
   public:
-    FaultInjector(const FaultPlan& plan, std::uint32_t num_nodes,
-                  EventQueue& eq);
+    FaultInjector(const FaultPlan& plan, std::uint32_t num_nodes);
 
     /**
-     * Decide @p msg's fate and schedule its delivery (or not). Called
-     * by Network::send in place of the direct scheduleMsg; @p sink_idx,
-     * @p wake and @p base_delay are exactly what the clean path would
-     * have used.
+     * Decide @p msg's fate. @p sink_idx is the destination endpoint
+     * (dst * 2 + unit) and @p due the cycle the clean path would
+     * deliver at; every surviving delivery is FIFO-clamped per
+     * (src, sink_idx) pair.
      */
-    void route(const Msg& msg, std::uint32_t sink_idx, std::uint32_t wake,
-               Cycle base_delay);
+    FaultFate route(const Msg& msg, std::uint32_t sink_idx, Cycle due);
 
     /** @{ Injection counters (registered as system.fault.* stats). */
     std::uint64_t statDrops = 0;        //!< request messages dropped
@@ -108,7 +118,6 @@ class FaultInjector
     FaultPlan plan_;
     Rng rng_;
     std::uint32_t numNodes_;
-    EventQueue& eq_;
     std::uint64_t msgIndex_ = 0;     //!< messages observed (1-based)
     std::size_t nextOneShot_ = 0;    //!< cursor into plan_.oneShots
     /** Latest scheduled delivery tick per ordered (src, sink) pair;
@@ -118,4 +127,4 @@ class FaultInjector
 
 } // namespace invisifence
 
-#endif // INVISIFENCE_SIM_FAULT_HH
+#endif // INVISIFENCE_COH_FAULT_HH

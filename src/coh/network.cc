@@ -5,7 +5,7 @@
 
 #include "coh/cache_agent.hh"
 #include "coh/directory.hh"
-#include "sim/fault.hh"
+#include "coh/fault.hh"
 #include "sim/log.hh"
 
 namespace invisifence {
@@ -47,7 +47,6 @@ Network::Network(EventQueue& eq, const NetworkParams& params,
     params_.dimX = dims.x;
     params_.dimY = dims.y;
     endpoints_.resize(static_cast<std::size_t>(num_nodes) * 2);
-    eq_.setMsgDispatcher(&Network::dispatchThunk, this);
 }
 
 void
@@ -106,9 +105,11 @@ Network::delay(NodeId a, NodeId b) const
 }
 
 void
-Network::dispatchThunk(void* ctx, std::uint32_t sink_idx, const Msg& msg)
+Network::deliverAt(Cycle when, std::uint32_t sink_idx, const Msg& msg,
+                   std::uint32_t wake)
 {
-    static_cast<Network*>(ctx)->dispatch(sink_idx, msg);
+    eq_.scheduleAt(when, [this, sink_idx, msg]() { dispatch(sink_idx, msg); },
+                   wake);
 }
 
 void
@@ -148,17 +149,19 @@ Network::send(const Msg& msg)
     // only mutate directory state and send further (tagged) messages.
     const std::uint32_t wake =
         msg.dstUnit == Unit::Agent ? msg.dst : kNoWakeNode;
+    const Cycle due = eq_.now() + delay(msg.src, msg.dst);
     if (faults_ != nullptr) [[unlikely]] {
         // Fault-injection detour: the injector decides this message's
-        // fate (drop / extra delay / duplicate) and schedules whatever
-        // deliveries survive, FIFO-clamped per pair.
-        faults_->route(msg, idx, wake, delay(msg.src, msg.dst));
+        // fate (drop / extra delay / duplicate), FIFO-clamped per pair.
+        const FaultFate fate = faults_->route(msg, idx, due);
+        if (fate.dropped())
+            return;
+        deliverAt(fate.due, idx, msg, wake);
+        if (fate.dupDue != kNeverCycle)
+            deliverAt(fate.dupDue, idx, msg, wake);
         return;
     }
-    // One copy, parameter -> pooled event slot (the old path copied the
-    // Msg a second time into a heap-allocated closure, node-local
-    // deliveries included).
-    eq_.scheduleMsg(delay(msg.src, msg.dst), idx, msg, wake);
+    deliverAt(due, idx, msg, wake);
 }
 
 } // namespace invisifence

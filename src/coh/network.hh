@@ -11,10 +11,14 @@
  *
  * Delivery is devirtualized: endpoints are a flat dispatch table of typed
  * pointers (CacheAgent / DirectorySlice, whose deliver() members are
- * called directly), not per-endpoint std::function sinks, and send()
- * moves the Msg once into the event queue's pooled slot instead of
- * copying it into a heap-allocated closure. Tests that intercept an
- * endpoint's traffic attach a typed {function, context} sink instead.
+ * called directly), not per-endpoint std::function sinks. send()
+ * schedules each delivery as an ordinary event whose inline closure is
+ * {Network*, endpoint index, Msg}: the Msg is copied once, into the
+ * event queue's pooled slot, and never onto the heap. Tests that
+ * intercept an endpoint's traffic attach a typed {function, context}
+ * sink instead. With a FaultInjector attached, the injector decides
+ * each message's fate (coh/fault.hh) and send() schedules whatever
+ * deliveries survive.
  */
 
 #ifndef INVISIFENCE_COH_NETWORK_HH
@@ -96,8 +100,8 @@ class Network
     void send(const Msg& msg);
 
     /**
-     * Divert every subsequent send() through @p f (deterministic fault
-     * injection; see sim/fault.hh). Null detaches. With no injector
+     * Route every subsequent send() through @p f (deterministic fault
+     * injection; see coh/fault.hh). Null detaches. With no injector
      * attached — the default — the hook costs one never-taken branch.
      */
     void setFaultInjector(FaultInjector* f) { faults_ = f; }
@@ -133,9 +137,10 @@ class Network
         }
     };
 
-    /** EventQueue message dispatcher: direct endpoint call. */
-    static void dispatchThunk(void* ctx, std::uint32_t sink_idx,
-                              const Msg& msg);
+    /** Schedule delivery of @p msg to endpoint @p sink_idx at @p when. */
+    void deliverAt(Cycle when, std::uint32_t sink_idx, const Msg& msg,
+                   std::uint32_t wake);
+    /** Direct endpoint call (runs as the delivery event). */
     void dispatch(std::uint32_t sink_idx, const Msg& msg);
 
     EventQueue& eq_;

@@ -174,8 +174,6 @@ class SpeculativeImpl : public ConsistencyImpl
 
     /** Conventional-mode retirement rules for the target model. */
     RetireCheck conventionalCanRetire(RobEntry& entry);
-    /** Would the conventional rules stall this entry for ordering? */
-    bool wouldTriggerSpeculation(const RobEntry& entry) const;
 
     bool hasOpenCkpt() const;
     std::uint32_t openCtx() const;
@@ -208,6 +206,8 @@ class SpeculativeImpl : public ConsistencyImpl
     std::vector<Addr> cleaningPending_;
     bool cleaningPendingContains(Addr block) const;
     void cleaningPendingErase(Addr block);
+    /** cleanWriteback completion: {cleanedThunk, this, block}. */
+    static void cleanedThunk(void* owner, std::uint64_t block);
     /** Per-tick "first entry per block" scratch for drainStoreBuffer
      *  (reused; a per-call unordered_set allocated every tick). */
     std::vector<Addr> drainSeen_;

@@ -58,13 +58,6 @@ struct Breakdown
         violation += b.violation;
     }
 
-    /** Fold @p b into this breakdown entirely as Violation cycles. */
-    void
-    mergeAsViolation(const Breakdown& b)
-    {
-        violation += b.total();
-    }
-
     std::uint64_t
     total() const
     {

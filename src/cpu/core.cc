@@ -9,74 +9,43 @@ namespace invisifence {
 
 Core::Core(NodeId id, const CoreParams& params, CacheAgent& agent,
            ThreadProgram& program)
-    : id_(id), params_(params), agent_(agent), program_(program),
-      rob_(params.robSize)
+    : wordMap_(std::size_t{params.robSize} * 4), id_(id), params_(params),
+      agent_(agent), program_(program), rob_(params.robSize)
 {
     program_.snapshotTo(retiredSnap_);
-    // >= 4x the window so live words (<= robSize) plus stale slots
-    // leave linear probing short; power of two for mask indexing.
-    std::uint32_t slots = 4;
-    while (slots < params.robSize * 4)
-        slots *= 2;
-    wordMap_.resize(slots);
-    wordMapMask_ = slots - 1;
 }
 
 InstSeq
 Core::wordMapInsert(Addr word, InstSeq seq)
 {
-    if (wordMapOccupied_ * 2 > wordMap_.size())
-        wordMapRebuild();   // shed stale slots before probing lengthens
-    return wordMapInsertRaw(word, seq);
-}
-
-InstSeq
-Core::wordMapInsertRaw(Addr word, InstSeq seq)
-{
-    std::size_t i = wordMapHome(word);
-    while (true) {
-        WordSlot& slot = wordMap_[i];
-        if (slot.seq == 0) {
-            slot.word = word;
-            slot.seq = seq;
-            ++wordMapOccupied_;
-            return 0;
-        }
-        if (slot.word == word) {
-            const InstSeq prev = slot.seq;
-            slot.seq = seq;
-            return prev;
-        }
-        i = (i + 1) & wordMapMask_;
-    }
+    // Shed stale slots before the insert could push the load past 1/2
+    // (FlatAddrMap's growth threshold): live words are <= robSize, so
+    // the table never grows.
+    if ((wordMap_.size() + 1) * 2 > wordMap_.capacity())
+        wordMapRebuild();
+    InstSeq& youngest = wordMap_.getOrCreate(word);
+    const InstSeq prev = youngest;   // 0 when the word was absent
+    youngest = seq;
+    return prev;
 }
 
 InstSeq
 Core::wordMapYoungest(Addr word) const
 {
-    std::size_t i = wordMapHome(word);
-    while (true) {
-        const WordSlot& slot = wordMap_[i];
-        if (slot.seq == 0)
-            return 0;
-        if (slot.word == word)
-            return slot.seq;
-        i = (i + 1) & wordMapMask_;
-    }
+    const InstSeq* youngest = wordMap_.find(word);
+    return youngest ? *youngest : 0;
 }
 
 void
 Core::wordMapRebuild()
 {
-    for (WordSlot& slot : wordMap_)
-        slot = WordSlot{};
-    wordMapOccupied_ = 0;
+    wordMap_.clear();
     // Oldest to youngest so each word's slot ends at its youngest
     // store; prevSameWord links are per-entry and stay as dispatched.
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         const RobEntry& e = rob_.at(i);
         if (isStoreLike(e.inst.type))
-            wordMapInsertRaw(wordAlign(e.inst.addr), e.seq);
+            wordMap_.getOrCreate(wordAlign(e.inst.addr)) = e.seq;
     }
 }
 

@@ -23,6 +23,7 @@
 #include "cpu/program.hh"
 #include "cpu/rob.hh"
 #include "sim/annotations.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -198,9 +199,6 @@ class Core
     /** Same result via the word CAM chain: O(same-word store-likes). */
     RobForward forwardFromChain(std::size_t idx, Addr addr) const;
 
-    /** Squash all entries younger than index @p idx and refetch. */
-    void squashYounger(std::size_t idx);
-
     void bindLoadValue(RobEntry& entry, std::uint64_t value, Cycle ready);
 
     /**
@@ -242,35 +240,22 @@ class Core
 
     /**
      * @{ Exact in-window store CAM, replacing the O(window) forwarding
-     * scan: an open-addressed word -> youngest-store-seq table plus the
-     * per-entry prevSameWord links form youngest-first chains over
-     * exactly the same-word store-likes, so store-to-load forwarding
-     * walks O(matches) entries. The table is insert/overwrite-only
-     * (stale seqs are detected by Rob::indexOf and provably imply the
-     * whole older chain retired); sweeps rebuild it from the window
-     * when stale slots accumulate or on recounts. Debug builds verify
-     * every chain walk against the naive scan.
+     * scan: a word -> youngest-store-seq FlatAddrMap plus the per-entry
+     * prevSameWord links form youngest-first chains over exactly the
+     * same-word store-likes, so store-to-load forwarding walks
+     * O(matches) entries. The table is insert/overwrite-only (stale
+     * seqs are detected by Rob::indexOf and provably imply the whole
+     * older chain retired); it is cleared and rebuilt from the window
+     * on recounts and before any insert that would push its load past
+     * 1/2, so it never grows past its construction-time capacity
+     * (>= 4x robSize). Debug builds verify every chain walk against
+     * the naive scan.
      */
     InstSeq wordMapInsert(Addr word, InstSeq seq);
-    InstSeq wordMapInsertRaw(Addr word, InstSeq seq);
     InstSeq wordMapYoungest(Addr word) const;
     void wordMapRebuild();
 
-    struct WordSlot
-    {
-        Addr word = 0;
-        InstSeq seq = 0;   //!< 0 = empty slot
-    };
-    std::vector<WordSlot> wordMap_;      //!< pow2-sized, >= 4x robSize
-    std::uint32_t wordMapMask_ = 0;
-    std::uint32_t wordMapOccupied_ = 0;
-
-    std::size_t
-    wordMapHome(Addr word) const
-    {
-        return static_cast<std::size_t>(
-            ((word >> 3) * 0x9e3779b97f4a7c15ull) >> 32) & wordMapMask_;
-    }
+    FlatAddrMap<InstSeq> wordMap_;   //!< word -> youngest store seq
     /** @} */
 
     NodeId id_;

@@ -60,7 +60,7 @@ struct BenchEnv
      *  System::runUntilDone — exhausting it is fatal, a CI backstop
      *  against silent hangs; INVISIFENCE_FAULT_SEED seeds the fault
      *  Rng; INVISIFENCE_FAULT_DROP / _DELAY / _DUP are per-65536
-     *  message rates (requests only for drop/dup, see sim/fault.hh);
+     *  message rates (requests only for drop/dup, see coh/fault.hh);
      *  INVISIFENCE_WATCHDOG is the liveness watchdog's no-progress
      *  threshold in cycles. */
     Cycle maxCycles = 0;

@@ -196,7 +196,7 @@ System::System(const SystemParams& params,
     stats_.registerStat("system.fastfwd.shard_skips", &statShardSkips);
     if (params_.fault.any()) {
         faults_ = std::make_unique<FaultInjector>(params_.fault,
-                                                  params_.numCores, eq_);
+                                                  params_.numCores);
         net_.setFaultInjector(faults_.get());
         stats_.registerStat("system.fault.drops", &faults_->statDrops);
         stats_.registerStat("system.fault.dups", &faults_->statDups);
@@ -214,19 +214,6 @@ System::System(const SystemParams& params,
             static_cast<System*>(ctx)->onEventWake(node, when);
         },
         this);
-}
-
-void
-System::setFastForward(bool on)
-{
-    // Turning fast-forward on after a stretch of per-cycle ticking must
-    // not trust stale dormancy info: wake everything for the next cycle
-    // (spurious ticks are harmless; missed ones are not).
-    if (on && !fastForward_) {
-        std::fill(wakeAt_.begin(), wakeAt_.end(), Cycle{0});
-        std::fill(shardWake_.begin(), shardWake_.end(), Cycle{0});
-    }
-    fastForward_ = on;
 }
 
 void

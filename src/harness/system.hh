@@ -17,6 +17,7 @@
 
 #include "coh/cache_agent.hh"
 #include "coh/directory.hh"
+#include "coh/fault.hh"
 #include "coh/network.hh"
 #include "core/invisifence.hh"
 #include "cpu/consistency.hh"
@@ -24,7 +25,6 @@
 #include "mem/functional_mem.hh"
 #include "sim/annotations.hh"
 #include "sim/event_queue.hh"
-#include "sim/fault.hh"
 #include "sim/stats.hh"
 
 namespace invisifence {
@@ -76,7 +76,7 @@ struct SystemParams
      */
     int fastForward = -1;
     /**
-     * Fault-injection plan for the coherence fabric (see sim/fault.hh).
+     * Fault-injection plan for the coherence fabric (see coh/fault.hh).
      * Default-constructed = inject nothing, and the network hook is not
      * even attached, so clean runs stay byte-identical to the goldens.
      * Any active plan (or a nonzero agent.retryTimeout) switches the
@@ -121,8 +121,7 @@ class System
      */
     bool runUntilDone(Cycle max_cycles);
 
-    /** @{ Quiescence-aware fast-forward control and introspection. */
-    void setFastForward(bool on);
+    /** @{ Quiescence-aware fast-forward introspection. */
     bool fastForwardEnabled() const { return fastForward_; }
     /** Cycles skipped (bulk-accrued) instead of ticked. */
     std::uint64_t statFastForwardedCycles = 0;

@@ -288,9 +288,6 @@ class CacheArray
         return static_cast<std::uint32_t>(specFrames_[ctx].size());
     }
 
-    /** Apply @p fn to every valid line. */
-    void forEachValid(FunctionRef<void(const Line&)> fn);
-
     std::uint32_t numSets() const { return num_sets_; }
     std::uint32_t numWays() const { return ways_; }
     const std::string& name() const { return name_; }

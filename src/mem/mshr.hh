@@ -16,8 +16,9 @@
  * cross-check every indexed lookup against a linear scan of the slots.
  *
  * Waiter callbacks are typed {function, owner, argument} records
- * (FillWaiter, 24 bytes — down from the 40-byte InplaceFn closures),
- * which makes identical waiters comparable: N same-block loads of one
+ * (FillWaiter, 24 bytes — the simulator's one fill-completion callback
+ * type, also taken by CacheAgent::cleanWriteback), which makes
+ * identical waiters comparable: N same-block loads of one
  * core collapse to a single chained record at merge time instead of N
  * equivalent closures. The records live in one shared free-listed slab
  * of intrusive chain nodes (not per-MSHR vectors, whose capacities
@@ -168,9 +169,6 @@ class MshrFile
     bool full() const { return count_ >= capacity_; }
     std::uint32_t inUse() const { return count_; }
     std::uint32_t capacity() const { return capacity_; }
-
-    /** Waiter-slab node count (pool-sizing diagnostics and tests). */
-    std::size_t waiterSlabSize() const { return waiterPool_.size(); }
 
     std::uint64_t statAllocations = 0;
     /** Full-MSHR stall episodes (see CacheAgent/Core edge counting). */

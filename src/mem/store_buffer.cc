@@ -136,16 +136,11 @@ CoalescingStoreBuffer::forward(Addr addr) const
 }
 
 void
-CoalescingStoreBuffer::flashInvalidate(FunctionRef<bool(const Entry&)> pred)
-{
-    entries_.erase(std::remove_if(entries_.begin(), entries_.end(), pred),
-                   entries_.end());
-}
-
-void
 CoalescingStoreBuffer::flashInvalidateSpeculative()
 {
-    flashInvalidate([](const Entry& e) { return e.speculative; });
+    const auto spec = [](const Entry& e) { return e.speculative; };
+    entries_.erase(std::remove_if(entries_.begin(), entries_.end(), spec),
+                   entries_.end());
 }
 
 void

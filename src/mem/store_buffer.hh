@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "mem/block.hh"
-#include "sim/function_ref.hh"
 #include "sim/ring_deque.hh"
 #include "sim/types.hh"
 
@@ -156,10 +155,8 @@ class CoalescingStoreBuffer
      *  probe retirement rules need, without gatherBlock's merges. */
     bool containsBlock(Addr addr) const;
 
-    /** Flash-invalidate every entry matching @p pred (single cycle). */
-    void flashInvalidate(FunctionRef<bool(const Entry&)> pred);
-
-    /** Flash-invalidate all speculative entries (abort of all contexts). */
+    /** Flash-invalidate all speculative entries (abort of all contexts,
+     *  single cycle). */
     void flashInvalidateSpeculative();
 
     /** Erase a specific entry after it drains into the L1. */

@@ -145,12 +145,7 @@ EventQueue::advanceTo(Cycle tick)
             ++executed_;
             if (ev.wakeNode != kNoWakeNode && wakeHook_)
                 wakeHook_(wakeCtx_, ev.wakeNode, ev.when);
-            if (ev.kind == Event::Kind::MsgDelivery) {
-                IF_DBG_ASSERT(msgDispatch_ && "message event with no dispatcher");
-                msgDispatch_(msgCtx_, ev.sinkIdx, *ev.msg());
-            } else {
-                ev.invoke(ev.payload);
-            }
+            ev.invoke(ev.payload);
         }
         nextTick_ = t + 1;
     }

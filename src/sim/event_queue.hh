@@ -11,34 +11,31 @@
  * sorted overflow map for anything scheduled further out. Scheduling and
  * popping are O(1) appends/moves instead of binary-heap sifts.
  *
- * Events are *typed and pooled*: an Event is a fixed-size, trivially
- * copyable slot holding either a coherence-message delivery
- * (MsgDelivery: sink index + the Msg itself, moved in once) or a bounded
- * inline callback — never a std::function, whose closure would heap-
- * allocate per event. Event/Msg storage is a single free-listed node
- * slab shared by all buckets: each wheel slot is an intrusive FIFO
- * chain of pool indices, executed nodes return to the free list, and
- * the pool's high-water mark is the global maximum of in-flight events
- * (reached during warmup) rather than a per-bucket one — so steady-
- * state scheduling and executing events (messages included) performs
- * zero heap allocations per simulated cycle. Message deliveries are
- * dispatched through a single registered function pointer (the
- * Network's devirtualized dispatch table) instead of per-endpoint
- * std::function sinks.
+ * Events are *pooled*: an Event is a fixed-size, trivially copyable slot
+ * holding a bounded inline closure and the thunk that invokes it — never
+ * a std::function, whose closure would heap-allocate per event. There is
+ * one event kind: a coherence-message delivery is an ordinary closure
+ * carrying {Network*, endpoint, Msg}, so the queue knows nothing of the
+ * message format. Event storage is a single free-listed node slab shared
+ * by all buckets: each wheel slot is an intrusive FIFO chain of pool
+ * indices, executed nodes return to the free list, and the pool's
+ * high-water mark is the global maximum of in-flight events (reached
+ * during warmup) rather than a per-bucket one — so steady-state
+ * scheduling and executing events (messages included) performs zero
+ * heap allocations per simulated cycle.
  */
 
 #ifndef INVISIFENCE_SIM_EVENT_QUEUE_HH
 #define INVISIFENCE_SIM_EVENT_QUEUE_HH
 
 #include "sim/annotations.hh"
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <new>
 #include <type_traits>
 #include <vector>
 
-#include "coh/message.hh"
 #include "sim/types.hh"
 
 namespace invisifence {
@@ -48,41 +45,26 @@ constexpr std::uint32_t kNoWakeNode = 0xffffffffu;
 
 /**
  * Inline payload capacity of an Event. Sized for the largest scheduled
- * closure in the simulator: the directory's transaction-start callback,
- * which carries a full Msg plus its `this` pointer.
+ * closure in the simulator: a network delivery, {Network*, endpoint
+ * index, Msg}. The static_assert in scheduleAt guards every closure.
  */
-constexpr std::size_t kEventInlineBytes = sizeof(Msg) + 2 * sizeof(void*);
+constexpr std::size_t kEventInlineBytes = 120;
 
 /**
- * One scheduled event: a tagged, fixed-size, trivially copyable slot.
- *
- * kind == MsgDelivery: payload holds a Msg; sinkIdx names the endpoint in
- * the owning Network's dispatch table. kind == Callback: payload holds a
- * trivially-copyable closure invoked through the stored thunk.
+ * One scheduled event: a fixed-size, trivially copyable slot whose
+ * payload holds a trivially-copyable closure invoked through the stored
+ * thunk.
  */
 struct Event
 {
-    enum class Kind : std::uint8_t { Callback, MsgDelivery };
-
     Cycle when = 0;
-    void (*invoke)(void*) = nullptr;       //!< Callback thunk
+    void (*invoke)(void*) = nullptr;       //!< closure thunk
     std::uint32_t wakeNode = kNoWakeNode;  //!< core to wake on execute
-    std::uint32_t sinkIdx = 0;             //!< MsgDelivery endpoint
-    Kind kind = Kind::Callback;
     alignas(std::max_align_t) unsigned char payload[kEventInlineBytes];
-
-    Msg*
-    msg()
-    {
-        IF_DBG_ASSERT(kind == Kind::MsgDelivery);
-        return std::launder(reinterpret_cast<Msg*>(payload));
-    }
 };
 
 static_assert(std::is_trivially_copyable_v<Event>,
               "Event slots must move with memcpy (pooled storage)");
-static_assert(std::is_trivially_copyable_v<Msg>,
-              "Msg must be storable inline in a pooled Event");
 
 /**
  * Timing-wheel event queue ordered by (tick, insertion order).
@@ -120,7 +102,6 @@ class EventQueue
                       "the capture or widen kEventInlineBytes");
         static_assert(alignof(Fn) <= alignof(std::max_align_t));
         Event& ev = emplaceSlot(when, wake_node);
-        ev.kind = Event::Kind::Callback;
         ::new (static_cast<void*>(ev.payload)) Fn(std::move(fn));
         ev.invoke = [](void* buf) {
             (*std::launder(reinterpret_cast<Fn*>(buf)))();
@@ -136,40 +117,10 @@ class EventQueue
     }
 
     /**
-     * Schedule delivery of @p msg to dispatch-table endpoint @p sink_idx
-     * after @p delay cycles. The message is copied once, into the pooled
-     * event slot; execution hands it to the registered dispatcher.
-     */
-    void
-    scheduleMsg(Cycle delay, std::uint32_t sink_idx, const Msg& msg,
-                std::uint32_t wake_node = kNoWakeNode)
-    {
-        Event& ev = emplaceSlot(now_ + delay, wake_node);
-        ev.kind = Event::Kind::MsgDelivery;
-        ev.sinkIdx = sink_idx;
-        ::new (static_cast<void*>(ev.payload)) Msg(msg);
-    }
-
-    /**
-     * Devirtualized message delivery: one function pointer + context for
-     * the whole queue (the Network and its endpoint table), replacing a
-     * std::function sink per endpoint.
-     */
-    using MsgDispatch = void (*)(void* ctx, std::uint32_t sink_idx,
-                                 const Msg& msg);
-    void
-    setMsgDispatcher(MsgDispatch fn, void* ctx)
-    {
-        msgDispatch_ = fn;
-        msgCtx_ = ctx;
-    }
-
-    /**
      * Hook invoked with (wakeNode, when) immediately before executing
      * any event carrying a wake tag. The System uses it to settle and
      * wake the dormant core the event is about to affect. Registered as
-     * a plain function pointer plus context — the same devirtualized
-     * shape as setMsgDispatcher above — so the dispatch path stays
+     * a plain function pointer plus context, so the dispatch path stays
      * allocation-free and statically analyzable.
      */
     using WakeHook = void (*)(void* ctx, std::uint32_t node, Cycle when);
@@ -253,13 +204,13 @@ class EventQueue
 
     /**
      * Claim a pooled slot for an event at @p when (common, non-template
-     * bookkeeping behind schedule/scheduleMsg). The caller fills kind
-     * and payload immediately — before any further call that could grow
+     * bookkeeping behind scheduleAt). The caller fills the payload
+     * immediately — before any further call that could grow
      * the slab and invalidate the reference.
      */
     Event& emplaceSlot(Cycle when, std::uint32_t wake_node);
 
-    /** The shared event/Msg slab; nodes are free-listed and recycled. */
+    /** The shared event slab; nodes are free-listed and recycled. */
     std::vector<Node> pool_;
     std::uint32_t freeHead_ = kNilNode;
     /** Per-tick chains for the near future. Pending wheel events always
@@ -290,8 +241,6 @@ class EventQueue
     Cycle now_ = 0;
     WakeHook wakeHook_ = nullptr;
     void* wakeCtx_ = nullptr;
-    MsgDispatch msgDispatch_ = nullptr;
-    void* msgCtx_ = nullptr;
     bool warnedPastSchedule_ = false;
 };
 

@@ -2,8 +2,9 @@
  * @file
  * Open-addressed flat hash map keyed by address.
  *
- * The directory's per-block state and the MSHR file's block index are
- * hot single-key lookups on every protocol step; a node-based
+ * The directory's per-block state, the MSHR file's block index and the
+ * core's store-forwarding word CAM are hot single-key lookups on every
+ * protocol step or store dispatch; a node-based
  * unordered_map costs a pointer chase (and a cold line) per probe.
  * FlatAddrMap stores keys and values in two parallel arrays (split
  * lanes, like the cache tag arrays): a linear probe walks contiguous
@@ -25,6 +26,7 @@
 #define INVISIFENCE_SIM_FLAT_MAP_HH
 
 #include "sim/annotations.hh"
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -136,6 +138,15 @@ class FlatAddrMap
         keys_[hole] = kEmptyKey;
         vals_[hole] = V{};
         return true;
+    }
+
+    /** Remove every key, keeping the capacity: rewrites the key lane
+     *  (values are reset on their next insert) and never allocates. */
+    void
+    clear()
+    {
+        std::fill(keys_.begin(), keys_.end(), kEmptyKey);
+        size_ = 0;
     }
 
     template <typename Fn>

@@ -293,8 +293,7 @@ TEST(Protocol, CleanWritebackPreservesValueInL2)
     rig.agents[0]->writeWordL1(0x9000, 5, false, 0);
     ASSERT_TRUE(rig.agents[0]->l1Dirty(0x9000));
     bool cleaned = false;
-    ASSERT_TRUE(rig.agents[0]->cleanWriteback(0x9000,
-                                              [&]() { cleaned = true; }));
+    ASSERT_TRUE(rig.agents[0]->cleanWriteback(0x9000, flagWaiter(&cleaned)));
     rig.settle();
     EXPECT_TRUE(cleaned);
     EXPECT_FALSE(rig.agents[0]->l1Dirty(0x9000));

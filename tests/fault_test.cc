@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "coh/fault.hh"
 #include "test_util.hh"
 #include "workload/workloads.hh"
 
@@ -183,6 +184,51 @@ TEST(FaultInjection, OneShotDelayPerturbsOnlyTiming)
     ASSERT_TRUE(sys->runUntilDone(3'000'000));
     EXPECT_EQ(sys->totalDropsInjected(), 0u);
     expectTokenOutcome(*sys);
+}
+
+TEST(FaultInjection, FifoClampOrdersSamePairOnlyAndIgnoresDrops)
+{
+    // The injector only decides, so it is driven directly here with no
+    // event queue. Message 1 is delayed by 500 cycles, message 4 is
+    // dropped; everything else has no fault.
+    FaultPlan plan;
+    plan.oneShots.push_back({1, FaultPlan::Kind::Delay, 500});
+    plan.oneShots.push_back({4, FaultPlan::Kind::Drop, 0});
+    FaultInjector inj(plan, 4);
+    const auto request = [](NodeId src) {
+        Msg m;
+        m.type = MsgType::GetS;
+        m.src = src;
+        m.dst = 1;
+        m.dstUnit = Unit::Directory;
+        return m;
+    };
+    const std::uint32_t home = 1 * 2 + static_cast<std::uint32_t>(
+                                           Unit::Directory);
+
+    const FaultFate delayed = inj.route(request(0), home, 100);
+    ASSERT_FALSE(delayed.dropped());
+    EXPECT_EQ(delayed.due, 600u);
+    EXPECT_EQ(delayed.dupDue, kNeverCycle);
+
+    // Same (src, endpoint) pair, cleanly due earlier: held back behind
+    // message 1, never overtaking it.
+    const FaultFate behind = inj.route(request(0), home, 110);
+    ASSERT_FALSE(behind.dropped());
+    EXPECT_GE(behind.due, delayed.due);
+
+    // Another source to the same endpoint is a different pair: unmoved.
+    EXPECT_EQ(inj.route(request(2), home, 110).due, 110u);
+
+    // A dropped message does not advance its pair's horizon: the next
+    // same-pair message keeps its own, much earlier, due cycle.
+    EXPECT_TRUE(inj.route(request(3), home, 900).dropped());
+    EXPECT_EQ(inj.route(request(3), home, 120).due, 120u);
+
+    EXPECT_EQ(inj.statDelays, 1u);
+    EXPECT_EQ(inj.statDelayCycles, 500u);
+    EXPECT_EQ(inj.statDrops, 1u);
+    EXPECT_EQ(inj.statDups, 0u);
 }
 
 // ---------------------------------------------------------------------

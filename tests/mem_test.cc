@@ -984,22 +984,38 @@ TEST(FlatMap, InsertFindEraseBasics)
 TEST(FlatMap, RandomizedOracleWithGrowthAndErase)
 {
     // Drive the open-addressed table and an unordered_map oracle with
-    // the same interleaved insert/update/erase stream, starting from a
-    // deliberately tiny capacity so the table rehashes many times, and
-    // with a narrow key universe so backward-shift erase constantly
-    // relocates probe chains.
+    // the same interleaved insert/update/erase/clear stream, starting
+    // from a deliberately tiny capacity so the table rehashes many
+    // times, and with a narrow key universe so backward-shift erase
+    // constantly relocates probe chains. Rare clears empty a full table
+    // in place: the capacity must not change and stale values must not
+    // leak into later inserts.
     FlatAddrMap<std::uint64_t> flat(4);
     std::unordered_map<Addr, std::uint64_t> oracle;
     Rng rng(20090609);
+    std::uint32_t clears = 0;
     for (std::uint64_t step = 0; step < 20000; ++step) {
         const Addr key = (rng.below(512) + 1) << 6;
-        const std::uint64_t op = rng.below(10);
-        if (op < 6) {
+        const std::uint64_t op = rng.below(2000);
+        if (op < 1200) {
             bool created = false;
-            flat.getOrCreate(key, &created) = step;
+            std::uint64_t& v = flat.getOrCreate(key, &created);
             EXPECT_EQ(created, oracle.find(key) == oracle.end());
+            if (created) {
+                EXPECT_EQ(v, 0u);
+            }
+            v = step;
             oracle[key] = step;
-        } else if (op < 8) {
+        } else if (op == 1999) {
+            const std::size_t cap = flat.capacity();
+            flat.clear();
+            ++clears;
+            EXPECT_EQ(flat.capacity(), cap);
+            for (const auto& kv : oracle) {
+                EXPECT_EQ(flat.find(kv.first), nullptr);
+            }
+            oracle.clear();
+        } else if (op < 1600) {
             const std::uint64_t* v = flat.find(key);
             auto it = oracle.find(key);
             if (it == oracle.end()) {
@@ -1013,6 +1029,7 @@ TEST(FlatMap, RandomizedOracleWithGrowthAndErase)
         }
         ASSERT_EQ(flat.size(), oracle.size());
     }
+    EXPECT_GT(clears, 0u);
     // Full sweep both ways: forEach hits exactly the oracle's entries.
     std::size_t seen = 0;
     flat.forEach([&](Addr k, const std::uint64_t& v) {

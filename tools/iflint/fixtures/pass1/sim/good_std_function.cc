@@ -3,7 +3,7 @@
 namespace fixture {
 
 struct Dispatcher {
-    // OK: function pointer + context, the setMsgDispatcher idiom.
+    // OK: function pointer + context, the EventQueue::setWakeHook idiom.
     using Hook = void (*)(void* ctx, int payload);
     Hook hook = nullptr;
     void* ctx = nullptr;
