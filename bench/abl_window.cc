@@ -2,7 +2,9 @@
  * @file
  * Ablation of this implementation's bounded-window policy: the
  * speculative-footprint cap that starts commit pressure before the
- * speculation overflows the L1 (DESIGN.md). Cap 0 disables bounding.
+ * speculation overflows the L1 (see SpecConfig::specFootprintCap: the
+ * paper's cache-overflow commit, applied proactively). Cap 0 disables
+ * bounding.
  */
 
 #include "bench_util.hh"

@@ -119,7 +119,7 @@ timedRun(const Workload& wl, ImplKind kind, const RunConfig& cfg,
             wl.params, t, run_cfg.seed));
     }
     System sys(run_cfg.system, std::move(programs), kind);
-    warmSystem(sys, wl.params, benchEnv().warmSharers);
+    warmSystem(sys, wl.params);
     const Cycle cycles = run_cfg.warmupCycles + run_cfg.measureCycles;
     const auto t0 = std::chrono::steady_clock::now();
     sys.run(run_cfg.warmupCycles);

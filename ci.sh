@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: lint, Release, Debug+ASan/UBSan, TSan, and a
-# format check.
+# Tier-1 verification: lint, Release, Debug+ASan/UBSan, TSan, a format
+# check, and the repo benchmark's exactness check.
 #
 #   ./ci.sh            run everything
 #   ./ci.sh lint       iflint source rules + binary hot-path allocation
@@ -24,6 +24,10 @@
 #                      (tolerance sized for a noisy 1-CPU box); prints a
 #                      per-point kcps delta table + geomean, not just
 #                      pass/fail
+#   ./ci.sh bench      repo benchmark (perfbench/run.py) for 1 s on each
+#                      of its three workloads, failing unless every point
+#                      run matches perfbench/expected.json (the exact
+#                      modelled digests for seed 1)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -150,6 +154,25 @@ run_perfsmoke() {
         --skip-check-impl ASOsc
 }
 
+run_bench() {
+    echo "== Repo benchmark: expected.json digests on every workload =="
+    # run.py builds its own Release tree under .bench_build/ and prints
+    # one JSON object as its last line; "correct" is false when any
+    # point run's modelled results differ from expected.json.
+    local workload last
+    for workload in apache16-spec oltp16-paper-conv zipfkv64-contended; do
+        last=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+            --seconds 1 | tail -n 1)
+        echo "$workload: ${last:0:80}"
+        if ! python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+                "$last"; then
+            echo "perfbench: $workload is not correct" >&2
+            return 1
+        fi
+    done
+}
+
 run_format() {
     echo "== clang-format check =="
     if ! command -v clang-format >/dev/null 2>&1; then
@@ -174,9 +197,10 @@ case "$STAGE" in
   tidy)      run_tidy ;;
   format)    run_format ;;
   perfsmoke) run_perfsmoke ;;
+  bench)     run_bench ;;
   all)       run_format; run_tidy; run_lint; run_release; run_asan
-             run_faults; run_tsan; run_perfsmoke ;;
-  *) echo "usage: $0 [all|lint|release|asan|faults|tsan|tidy|format|perfsmoke]" >&2
+             run_faults; run_tsan; run_perfsmoke; run_bench ;;
+  *) echo "usage: $0 [all|lint|release|asan|faults|tsan|tidy|format|perfsmoke|bench]" >&2
      exit 2 ;;
 esac
 echo "ci.sh: $STAGE OK"

@@ -240,13 +240,6 @@ CacheAgent::writeWordL1(const BlockView& view, Addr addr,
 }
 
 void
-CacheAgent::writeMaskedL1(Addr block_addr, const MaskedBlock& data,
-                          bool speculative, std::uint32_t ctx)
-{
-    writeMaskedL1(resolveBlock(block_addr), data, speculative, ctx);
-}
-
-void
 CacheAgent::writeMaskedL1(const BlockView& view, const MaskedBlock& data,
                           bool speculative, std::uint32_t ctx)
 {

@@ -148,8 +148,6 @@ class CacheAgent
     void writeWordL1(const BlockView& view, Addr addr,
                      std::uint64_t value, bool speculative,
                      std::uint32_t ctx);
-    void writeMaskedL1(Addr block_addr, const MaskedBlock& data,
-                       bool speculative, std::uint32_t ctx);
     void writeMaskedL1(const BlockView& view, const MaskedBlock& data,
                        bool speculative, std::uint32_t ctx);
     /** @} */

@@ -65,8 +65,8 @@ SpeculativeImpl::SpeculativeImpl(const SpecConfig& cfg, Core& core,
     : ConsistencyImpl(cfg.name(), core, agent), cfg_(cfg),
       sb_(cfg.sbEntries)
 {
-    IF_DBG_ASSERT(cfg_.numCheckpoints >= 1 &&
-           cfg_.numCheckpoints <= kMaxCheckpoints);
+    // Zero checkpoints is conventional RMO: every ordering stall stalls.
+    IF_DBG_ASSERT(cfg_.numCheckpoints <= kMaxCheckpoints);
     if (cfg_.continuous)
         IF_DBG_ASSERT(cfg_.numCheckpoints == 2);
 }
@@ -274,20 +274,14 @@ SpeculativeImpl::conventionalCanRetire(RobEntry& entry)
         return {true, StallKind::None};
 
       case OpType::Store:
-        if (cfg_.model != Model::RMO) {
-            // The coalescing SB is unordered: under SC/TSO a store may
-            // only retire non-speculatively when no older store is
-            // pending (this is exactly the paper's speculation trigger).
-            if (!sb_.empty())
-                return {false, StallKind::SbDrain};
-            return {true, StallKind::None};
-        }
-        // RMO: stores are unordered; only capacity can stall them.
-        if (sb_.containsBlock(addr) || agent_.l1Writable(addr) ||
-            !sb_.full()) {
-            return {true, StallKind::None};
-        }
-        return {false, StallKind::SbFull};
+        // The coalescing SB is unordered: under SC/TSO a store may only
+        // retire non-speculatively when no older store is pending (this
+        // is exactly the paper's speculation trigger). RMO stores never
+        // get here: canRetire sends them through checkStoreCapacity.
+        IF_DBG_ASSERT(cfg_.model != Model::RMO);
+        if (!sb_.empty())
+            return {false, StallKind::SbDrain};
+        return {true, StallKind::None};
 
       case OpType::Cas:
       case OpType::FetchAdd: {
@@ -393,7 +387,8 @@ SpeculativeImpl::canRetire(RobEntry& entry)
     RetireCheck conv = conventionalCanRetire(entry);
     if (conv.ok)
         return conv;
-    if (conv.stall == StallKind::SbDrain) {
+    // With no checkpoint slot (conventional RMO) the stall stands.
+    if (conv.stall == StallKind::SbDrain && freeSlot() != kNoSpecCtx) {
         openCkpt();
         if (will_write) {
             return checkStoreCapacity(addr, true, openCtx(), memo_ok,

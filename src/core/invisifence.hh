@@ -1,8 +1,8 @@
 /**
  * @file
  * INVISIFENCE: post-retirement speculation for memory ordering
- * (Sections 3 and 4 of the paper), plus the ASO baseline as a
- * configuration preset.
+ * (Sections 3 and 4 of the paper), plus the ASO baseline and
+ * conventional RMO as configuration presets.
  *
  * The engine implements:
  *  - register checkpoints (program snapshots), one or two in flight;
@@ -20,7 +20,11 @@
  *    (Section 3.2, violation detection);
  *  - an ASO-like baseline (Section 5/6.4): unbounded per-store buffer,
  *    multiple checkpoints, and a commit that drains one store per cycle
- *    into the L2 while the cache's external interface is blocked.
+ *    into the L2 while the cache's external interface is blocked;
+ *  - conventional RMO (Figure 2): selective RMO with zero checkpoints.
+ *    With no slot to open, an ordering stall stalls, and what remains
+ *    is exactly the conventional block-coalescing store buffer with
+ *    unordered drain.
  */
 
 #ifndef INVISIFENCE_CORE_INVISIFENCE_HH
@@ -42,7 +46,7 @@ struct SpecConfig
 {
     Model model = Model::SC;       //!< enforced consistency model
     bool continuous = false;       //!< continuous (chunk) speculation
-    std::uint32_t numCheckpoints = 1;
+    std::uint32_t numCheckpoints = 1;   //!< 0 = never speculates
     std::uint32_t sbEntries = 8;   //!< 32 with two checkpoints (Fig. 6)
     std::uint32_t minChunkSize = 100;
     bool commitOnViolate = false;
@@ -72,7 +76,16 @@ struct SpecConfig
     static SpecConfig selective(Model m, std::uint32_t ckpts = 1);
     /** INVISIFENCE-CONTINUOUS (optionally with commit-on-violate). */
     static SpecConfig continuousMode(bool cov);
-    /** ASO baseline enforcing SC (ASOsc in Section 6.4). */
+    /**
+     * ASO baseline enforcing SC (ASOsc in Section 6.4; Wenisch et al.,
+     * "Mechanisms for Store-wait-free Multiprocessors", ISCA 2007):
+     * SC-selective triggers, two in-flight checkpoints (ASO takes
+     * periodic checkpoints to bound discarded work) and an unbounded
+     * per-store Scalable Store Buffer. Substitution: ASO's commit
+     * drains the SSB into the L2 store by store, modelled here as one
+     * store per cycle with the cache's external interface blocked, in
+     * contrast to INVISIFENCE's constant-time flash commit.
+     */
     static SpecConfig aso();
 
     std::string name() const;

@@ -1,7 +1,6 @@
 #include "cpu/consistency.hh"
 
 #include "sim/annotations.hh"
-#include <memory>
 
 #include "cpu/core.hh"
 #include "sim/log.hh"
@@ -209,163 +208,6 @@ ConventionalFifoImpl::dumpLiveness(std::FILE* out) const
                      static_cast<unsigned long long>(e.seq),
                      e.issued ? 1 : 0);
     }
-}
-
-// ---------------------------------------------------------------------
-// Conventional RMO (block-granularity coalescing store buffer)
-// ---------------------------------------------------------------------
-
-ConventionalRmoImpl::ConventionalRmoImpl(Core& core, CacheAgent& agent,
-                                         std::uint32_t sb_entries)
-    : ConsistencyImpl("rmo", core, agent), sb_(sb_entries)
-{
-}
-
-RetireCheck
-ConventionalRmoImpl::canRetire(RobEntry& entry)
-{
-    switch (entry.inst.type) {
-      case OpType::Alu:
-      case OpType::Nop:
-      case OpType::Load:
-      case OpType::Halt:
-        return {true, StallKind::None};
-      case OpType::Store: {
-        const Addr addr = entry.inst.addr;
-        // Order within a block: merge into an existing entry if any.
-        if (sb_.containsBlock(addr))
-            return {true, StallKind::None};
-        if (agent_.l1Writable(addr))
-            return {true, StallKind::None};   // direct hit into the L1
-        if (!sb_.full())
-            return {true, StallKind::None};
-        return {false, StallKind::SbFull};
-      }
-      case OpType::Cas:
-      case OpType::FetchAdd: {
-        // RMO atomics retire once the block is writable (Figure 2:
-        // "Complete store") and program order within the block holds.
-        const Addr addr = entry.inst.addr;
-        if (sb_.containsBlock(addr))
-            return {false, StallKind::SbDrain};
-        if (!agent_.l1Writable(addr)) {
-            if (!agent_.fetchOutstanding(addr))
-                agent_.request(addr, true);
-            return {false, StallKind::SbDrain};
-        }
-        return {true, StallKind::None};
-      }
-      case OpType::Fence:
-        if (!sb_.empty())
-            return {false, StallKind::SbDrain};
-        return {true, StallKind::None};
-    }
-    return {true, StallKind::None};
-}
-
-void
-ConventionalRmoImpl::onRetire(RobEntry& entry)
-{
-    const Addr addr = entry.inst.addr;
-    switch (entry.inst.type) {
-      case OpType::Store: {
-        if (!sb_.containsBlock(addr) && agent_.l1Writable(addr)) {
-            agent_.writeWordL1(addr, entry.inst.value, false, 0);
-            ++statDirectHits;
-            return;
-        }
-        const auto res = sb_.store(addr, kWordBytes, entry.inst.value,
-                                   false, kNonSpecCtx, entry.seq);
-        IF_DBG_ASSERT(res != CoalescingStoreBuffer::StoreResult::Full);
-        (void)res;
-        break;
-      }
-      case OpType::Cas:
-        if (entry.result == entry.inst.expect) {
-            agent_.writeWordL1(addr, entry.inst.value, false, 0);
-        }
-        break;
-      case OpType::FetchAdd:
-        agent_.writeWordL1(addr, entry.result + entry.inst.value, false,
-                           0);
-        break;
-      default:
-        break;
-    }
-}
-
-std::optional<std::uint64_t>
-ConventionalRmoImpl::forwardStore(Addr addr) const
-{
-    return sb_.forward(addr);
-}
-
-void
-ConventionalRmoImpl::tick()
-{
-    IF_HOT;
-    // Unordered drain: any entry whose block is writable retires into
-    // the L1; others acquire permission in the background.
-    int drained = 0;
-    auto& entries = sb_.entries();
-    for (std::size_t i = 0; i < entries.size();) {
-        auto& e = entries[i];
-        if (agent_.l1Writable(e.blockAddr)) {
-            if (drained < 2) {
-                agent_.writeMaskedL1(e.blockAddr, e.data, false, 0);
-                ++statDrained;
-                ++drained;
-                core_.noteWork();
-                entries.erase(entries.begin() +
-                              static_cast<std::ptrdiff_t>(i));
-                continue;
-            }
-        } else if (!e.fillRequested ||
-                   !agent_.fetchOutstanding(e.blockAddr)) {
-            if (agent_.request(e.blockAddr, true)) {
-                e.fillRequested = true;
-                e.fullStallNoted = false;
-                core_.noteWork();
-            } else if (!e.fullStallNoted) {
-                // Once per stall episode, like the load-issue path.
-                e.fullStallNoted = true;
-                ++agent_.mshrs().statFullStalls;
-            }
-        }
-        ++i;
-    }
-}
-
-void
-ConventionalRmoImpl::dumpLiveness(std::FILE* out) const
-{
-    std::fprintf(out, "    impl %s sb=%zu/%u\n", name_.c_str(), sb_.size(),
-                 sb_.capacity());
-    for (std::size_t i = 0; i < sb_.entries().size(); ++i) {
-        const CoalescingStoreBuffer::Entry& e = sb_.entries()[i];
-        std::fprintf(out,
-                     "      sb[%zu] blk=%llx spec=%d ctx=%u "
-                     "fillRequested=%d held=%d\n",
-                     i, static_cast<unsigned long long>(e.blockAddr),
-                     e.speculative ? 1 : 0, e.ctx, e.fillRequested ? 1 : 0,
-                     e.held ? 1 : 0);
-    }
-}
-
-std::unique_ptr<ConsistencyImpl>
-makeConventional(Model model, Core& core, CacheAgent& agent)
-{
-    switch (model) {
-      case Model::SC:
-        return std::make_unique<ConventionalFifoImpl>(Model::SC, core,
-                                                      agent, 64);
-      case Model::TSO:
-        return std::make_unique<ConventionalFifoImpl>(Model::TSO, core,
-                                                      agent, 64);
-      case Model::RMO:
-        return std::make_unique<ConventionalRmoImpl>(core, agent, 8);
-    }
-    return nullptr;
 }
 
 } // namespace invisifence

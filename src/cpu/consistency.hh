@@ -9,14 +9,17 @@
  * retirement, and reports executed loads. Each impl is also the
  * CoherenceListener of its cache agent.
  *
- * This file provides the conventional implementations:
- *  - ConventionalSc:  word FIFO SB; loads stall at retire until SB empty.
- *  - ConventionalTso: word FIFO SB with forwarding; stores stall when the
- *    SB is full; atomics and fences drain the SB.
- *  - ConventionalRmo: block coalescing SB; store hits retire into the L1;
- *    fences drain the SB; atomics wait for write permission.
+ * This file provides the conventional SC and TSO implementations
+ * (ConventionalFifoImpl), which share a word-granularity FIFO SB:
+ *  - SC:  loads stall at retire until the SB is empty.
+ *  - TSO: loads forward from the SB; stores stall when the SB is full;
+ *    atomics and full fences drain the SB.
  *
- * The speculative implementations (InvisiFence, ASO) live in src/core.
+ * Conventional RMO (block coalescing SB; store hits retire into the L1;
+ * fences drain the SB; atomics wait for write permission) is the
+ * speculation engine in src/core with zero checkpoints, configured by
+ * makeImpl. The speculative implementations (InvisiFence, ASO) live
+ * there too.
  */
 
 #ifndef INVISIFENCE_CPU_CONSISTENCY_HH
@@ -24,7 +27,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -172,33 +174,6 @@ class ConventionalFifoImpl : public ConsistencyImpl
     Model model_;
     FifoStoreBuffer sb_;
 };
-
-/** Conventional RMO with a block-granularity coalescing store buffer. */
-class ConventionalRmoImpl : public ConsistencyImpl
-{
-  public:
-    ConventionalRmoImpl(Core& core, CacheAgent& agent,
-                        std::uint32_t sb_entries);
-
-    void tick() override;
-    RetireCheck canRetire(RobEntry& entry) override;
-    void onRetire(RobEntry& entry) override;
-    std::optional<std::uint64_t> forwardStore(Addr addr) const override;
-    bool quiesced() const override { return sb_.empty(); }
-    void dumpLiveness(std::FILE* out) const override;
-
-    const CoalescingStoreBuffer& storeBuffer() const { return sb_; }
-
-    std::uint64_t statDrained = 0;
-    std::uint64_t statDirectHits = 0;
-
-  private:
-    CoalescingStoreBuffer sb_;
-};
-
-/** Factory for the three conventional implementations. */
-std::unique_ptr<ConsistencyImpl> makeConventional(Model model, Core& core,
-                                                  CacheAgent& agent);
 
 } // namespace invisifence
 

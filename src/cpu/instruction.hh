@@ -3,8 +3,9 @@
  * Abstract micro-op ISA.
  *
  * The workloads' memory-ordering behaviour depends only on the stream of
- * loads, stores, atomics, and fences, so the ISA is deliberately small
- * (see DESIGN.md "Substitutions"). All memory operations are 8-byte,
+ * loads, stores, atomics, and fences, so the ISA is deliberately small:
+ * it substitutes for the paper's full-system SPARC execution, keeping
+ * only what ordering depends on. All memory operations are 8-byte,
  * word-aligned accesses. Atomic read-modify-write operations (CAS and
  * fetch-and-add) produce the old memory value as their result.
  */

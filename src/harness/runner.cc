@@ -41,22 +41,6 @@ envOr(const char* name, std::uint64_t unset, std::uint64_t lo,
     return text ? parseEnvInt(name, text, lo, hi) : unset;
 }
 
-/** Strictly parse @p text as a real number in [@p lo, @p hi]. */
-double
-parseEnvFrac(const char* name, const char* text, double lo, double hi)
-{
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (text[0] == '\0' || (text[0] != '.' && (text[0] < '0' ||
-        text[0] > '9')) || end == text || *end != '\0' ||
-        errno == ERANGE || v < lo || v > hi) {
-        IF_FATAL("%s='%s' is not a number in [%g, %g]", name, text, lo,
-                 hi);
-    }
-    return v;
-}
-
 BenchEnv
 parseBenchEnv()
 {
@@ -72,10 +56,6 @@ parseBenchEnv()
         envOr("INVISIFENCE_FUZZ_PROGRAMS", 200, 1, 1'000'000));
     if (const char* path = std::getenv("INVISIFENCE_BENCH_JSON"))
         e.jsonPath = path;
-    if (const char* frac = std::getenv("INVISIFENCE_WARM_SHARERS")) {
-        e.warmSharers =
-            parseEnvFrac("INVISIFENCE_WARM_SHARERS", frac, 0.0, 1.0);
-    }
     e.numCores = static_cast<std::uint32_t>(
         envOr("INVISIFENCE_NUM_CORES", 0, 1, SharerSet::kMaxNodes));
     e.dimX = static_cast<std::uint32_t>(
@@ -215,35 +195,15 @@ sample(System& sys)
 
 } // namespace
 
-SharerSet
-warmSharerMask(Addr block, std::uint32_t num_nodes, double sharer_fraction)
-{
-    if (sharer_fraction <= 0.0 || sharer_fraction >= 1.0)
-        return SharerSet::firstN(num_nodes);
-    // ceil(fraction * n), clamped to [1, n]: at least one sharer, and a
-    // fraction of 1.0 degenerates to the legacy everywhere set above.
-    std::uint32_t k = static_cast<std::uint32_t>(
-        sharer_fraction * num_nodes + 0.999999);
-    if (k < 1)
-        k = 1;
-    if (k > num_nodes)
-        k = num_nodes;
-    // Deterministic, block-dependent subset: k consecutive nodes
-    // starting at the block's hash. Consecutive is a fine stand-in for
-    // the sparse sharer sets a real warm checkpoint would record; what
-    // matters for the Inv storm is the count, not the identity.
-    const std::uint32_t start =
-        static_cast<std::uint32_t>(block >> kBlockShift) % num_nodes;
-    SharerSet sharers;
-    for (std::uint32_t i = 0; i < k; ++i)
-        sharers.set((start + i) % num_nodes);
-    return sharers;
-}
-
 void
 warmSystem(System& sys, const SyntheticParams& params,
            double sharer_fraction)
 {
+    if (sharer_fraction != 0.0) {
+        IF_FATAL("warmSystem: sharer_fraction=%g, but only "
+                 "everywhere-shared priming (0) is supported",
+                 sharer_fraction);
+    }
     const std::uint32_t n = sys.numCores();
     const BlockData zero{};
     // Never prime more than fits comfortably: overflowing the L2 here
@@ -254,9 +214,8 @@ warmSystem(System& sys, const SyntheticParams& params,
     const std::uint32_t shared_cap = l2_blocks / 4;
 
     const HomeMap& homes = sys.homeMap();
+    const SharerSet sharers = SharerSet::firstN(n);
     const auto prime_shared = [&](Addr block) {
-        const SharerSet sharers =
-            warmSharerMask(block, n, sharer_fraction);
         sharers.forEach([&](NodeId t) {
             sys.agent(t).primeBlock(block, CoherenceState::Shared, zero);
         });
@@ -276,8 +235,7 @@ warmSystem(System& sys, const SyntheticParams& params,
         }
     }
 
-    // Shared region and lock words: Shared at the (full or
-    // sharer-precise) warm sharer set.
+    // Shared region and lock words: Shared at every node.
     const std::uint32_t shared =
         std::min<std::uint32_t>(params.sharedBlocks, shared_cap);
     for (std::uint32_t b = 0; b < shared; ++b)
@@ -313,7 +271,7 @@ runExperiment(const Workload& workload, ImplKind kind,
     }
     System sys(cfg.system, std::move(programs), kind);
     if (cfg.warmStart)
-        warmSystem(sys, workload.params, benchEnv().warmSharers);
+        warmSystem(sys, workload.params);
 
     sys.run(cfg.warmupCycles);
     const Counters before = sample(sys);

@@ -39,11 +39,6 @@ struct BenchEnv
     std::uint32_t jobs = 0;    //!< INVISIFENCE_JOBS (0 = hw concurrency)
     std::uint32_t fuzzPrograms = 200;   //!< INVISIFENCE_FUZZ_PROGRAMS
     std::string jsonPath;      //!< INVISIFENCE_BENCH_JSON (empty = off)
-    /** INVISIFENCE_WARM_SHARERS in [0,1]: prime shared/lock blocks at
-     *  only that fraction of the nodes instead of Shared-everywhere
-     *  (0 = off, the default — preserves the committed goldens; 1 is
-     *  equivalent to off, i.e. every node shares). */
-    double warmSharers = 0.0;
     /** @{ Machine-scale knobs (0/-1 = unset, keep the config default):
      *  INVISIFENCE_NUM_CORES, INVISIFENCE_DIM_X / _DIM_Y (0 also means
      *  "derive from the core count", see torusDims),
@@ -94,27 +89,12 @@ struct RunConfig
  * lock words Shared at every node, lock-data chunks at a round-robin
  * owner. Stands in for the warm checkpoints of the SimFlex methodology.
  *
- * @p sharer_fraction selects the sharer-precise variant: with a value
- * in (0, 1], each shared/lock block is primed Shared at only
- * ceil(fraction * nodes) nodes — a deterministic, block-dependent
- * subset approximating the sparse sharer sets a real warm checkpoint
- * would record — which cuts the per-store Inv/InvAck storm that
- * Shared-everywhere priming provokes. 0 (default) keeps the legacy
- * everywhere-shared behavior and the committed goldens byte-identical.
- * Opt in globally via INVISIFENCE_WARM_SHARERS (see BenchEnv).
+ * @p sharer_fraction must be 0 (any other value is fatal); the
+ * parameter exists only so three-argument callers such as
+ * perfbench/driver.cc compile.
  */
 void warmSystem(System& sys, const SyntheticParams& params,
                 double sharer_fraction = 0.0);
-
-/**
- * Sharer set for @p block under sharer-precise warming: the
- * deterministic subset of @p num_nodes nodes (never empty, at most all)
- * that warmSystem primes when @p sharer_fraction is in (0, 1]. Works at
- * any node count up to SharerSet::kMaxNodes — the old uint32_t mask
- * silently capped warm sharers at 32 nodes.
- */
-SharerSet warmSharerMask(Addr block, std::uint32_t num_nodes,
-                         double sharer_fraction);
 
 /** Result of one measured run. */
 struct RunResult

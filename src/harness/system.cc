@@ -105,11 +105,20 @@ makeImpl(ImplKind kind, const SystemParams& params, Core& core,
     };
     switch (kind) {
       case ImplKind::ConvSC:
-        return makeConventional(Model::SC, core, agent);
+        return std::make_unique<ConventionalFifoImpl>(Model::SC, core,
+                                                      agent, 64);
       case ImplKind::ConvTSO:
-        return makeConventional(Model::TSO, core, agent);
-      case ImplKind::ConvRMO:
-        return makeConventional(Model::RMO, core, agent);
+        return std::make_unique<ConventionalFifoImpl>(Model::TSO, core,
+                                                      agent, 64);
+      case ImplKind::ConvRMO: {
+        // Conventional RMO is the selective engine with no checkpoint
+        // slot: same coalescing SB, retirement rules and unordered
+        // drain, and an ordering stall simply stalls. Built directly so
+        // the speculative-only SystemParams knobs do not reach it.
+        SpecConfig c = SpecConfig::selective(Model::RMO, 0);
+        c.nameOverride = "rmo";
+        return std::make_unique<SpeculativeImpl>(c, core, agent);
+      }
       case ImplKind::InvisiSC: {
         SpecConfig c = SpecConfig::selective(Model::SC);
         c.commitOnViolate = params.selectiveCov;

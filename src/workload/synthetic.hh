@@ -1,7 +1,9 @@
 /**
  * @file
  * Statistical workload generator standing in for the paper's commercial
- * and scientific applications (Figure 7; see DESIGN.md "Substitutions").
+ * and scientific applications (Figure 7). Substitution: instead of
+ * full-system binaries, each preset reproduces an application's
+ * ordering-relevant mix (stores, atomics, fences, sharing, locking).
  *
  * Each thread is a deterministic automaton mixing private computation,
  * shared-data accesses, lock-protected critical sections (CAS acquire,

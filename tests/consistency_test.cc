@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/invisifence.hh"
 #include "test_util.hh"
 
 using namespace invisifence;
@@ -176,6 +177,37 @@ TEST(ConvAll, AtomicityOfRmw)
             if (sys->agent(n).l1Readable(taddr(85)))
                 v = sys->agent(n).readWordL1(taddr(85));
         EXPECT_EQ(v, 50u) << implKindName(kind);
+    }
+}
+
+TEST(ConvAll, OrderingStallsStallWithoutSpeculating)
+{
+    // A fence behind a store miss, and an atomic to a block whose store
+    // still sits in the SB, are ordering stalls under every model (SC:
+    // the load behind the fence). Conventional kinds must wait them out
+    // as SB-drain cycles; conventional RMO is the speculation engine
+    // with no checkpoint slot, so it must never open one.
+    std::vector<ScriptOp> fence =
+        storeMissThenLoads(taddr(88), taddr(89), 0);
+    fence.push_back(opFence());
+    fence.push_back(opLoad(taddr(89)));
+    std::vector<ScriptOp> atomic =
+        storeMissThenLoads(taddr(90), taddr(91), 0);
+    atomic.push_back(opFetchAdd(taddr(90), 1));
+    for (ImplKind kind :
+         {ImplKind::ConvSC, ImplKind::ConvTSO, ImplKind::ConvRMO}) {
+        for (const bool use_fence : {true, false}) {
+            SCOPED_TRACE(std::string(implKindName(kind)) +
+                         (use_fence ? " fence" : " atomic"));
+            auto sys = makeScripted({use_fence ? fence : atomic}, kind,
+                                    SystemParams::small(2));
+            ASSERT_TRUE(sys->runUntilDone(200000));
+            EXPECT_GT(sys->core(0).breakdown().sbDrain, 5u);
+            if (const auto* spec =
+                    dynamic_cast<const SpeculativeImpl*>(&sys->impl(0))) {
+                EXPECT_EQ(spec->statSpeculations, 0u);
+            }
+        }
     }
 }
 

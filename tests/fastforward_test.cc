@@ -10,7 +10,8 @@
  * This file also pins the runUntilDone completion contract (the event
  * queue must be drained before completion is declared) and the
  * Section 6.6 sweep configuration of makeImpl (commit-on-violate applied
- * uniformly to every selective variant, including two-checkpoint).
+ * uniformly to every selective variant, including two-checkpoint, and
+ * to none of the conventional ones).
  */
 
 #include <gtest/gtest.h>
@@ -205,6 +206,27 @@ TEST(MakeImpl, TwoCheckpointSelectiveKeepsItsShape)
     EXPECT_EQ(spec->config().numCheckpoints, 2u);
     EXPECT_EQ(spec->config().sbEntries, 32u);
     EXPECT_EQ(spec->config().model, Model::SC);
+    EXPECT_FALSE(spec->config().continuous);
+}
+
+TEST(MakeImpl, ConventionalRmoIsTheEngineWithNoCheckpoints)
+{
+    // ConvRMO is selective RMO with zero checkpoint slots, built outside
+    // the speculative knobs: neither the SB-size override nor
+    // commit-on-violate may reach it.
+    SystemParams params = SystemParams::small(1);
+    params.specSbEntries = 32;
+    params.selectiveCov = true;
+    auto sys =
+        makeScripted({{opStore(taddr(0), 1)}}, ImplKind::ConvRMO, params);
+    const auto* spec =
+        dynamic_cast<const SpeculativeImpl*>(&sys->impl(0));
+    ASSERT_NE(spec, nullptr);
+    EXPECT_EQ(spec->name(), "rmo");
+    EXPECT_EQ(spec->config().numCheckpoints, 0u);
+    EXPECT_EQ(spec->config().sbEntries, 8u);
+    EXPECT_EQ(spec->config().model, Model::RMO);
+    EXPECT_FALSE(spec->config().commitOnViolate);
     EXPECT_FALSE(spec->config().continuous);
 }
 
