@@ -25,9 +25,11 @@
 #                      per-point kcps delta table + geomean, not just
 #                      pass/fail
 #   ./ci.sh bench      repo benchmark (perfbench/run.py) for 1 s on each
-#                      of its three workloads, failing unless every point
-#                      run matches perfbench/expected.json (the exact
-#                      modelled digests for seed 1)
+#                      of its three workloads at seeds 1 and 2, failing
+#                      unless every run reports "correct": seed 1 points
+#                      must match perfbench/expected.json (the exact
+#                      modelled digests); held-out seed 2 points must
+#                      repeat exactly and match runExperiment
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -155,21 +157,24 @@ run_perfsmoke() {
 }
 
 run_bench() {
-    echo "== Repo benchmark: expected.json digests on every workload =="
+    echo "== Repo benchmark: every workload at the default and a held-out seed =="
     # run.py builds its own Release tree under .bench_build/ and prints
-    # one JSON object as its last line; "correct" is false when any
-    # point run's modelled results differ from expected.json.
-    local workload last
-    for workload in apache16-spec oltp16-paper-conv zipfkv64-contended; do
-        last=$(python3 perfbench/run.py --workload "$workload" --seed 1 \
-            --seconds 1 | tail -n 1)
-        echo "$workload: ${last:0:80}"
-        if ! python3 -c 'import json, sys
+    # one JSON object as its last line. "correct" is false when a point
+    # run's modelled results differ from expected.json (seed 1), or, on
+    # any other seed, differ between repeats or from runExperiment.
+    local workload seed last
+    for seed in 1 2; do
+        for workload in apache16-spec oltp16-paper-conv zipfkv64-contended; do
+            last=$(python3 perfbench/run.py --workload "$workload" \
+                --seed "$seed" --seconds 1 | tail -n 1)
+            echo "$workload seed $seed: ${last:0:80}"
+            if ! python3 -c 'import json, sys
 sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
-                "$last"; then
-            echo "perfbench: $workload is not correct" >&2
-            return 1
-        fi
+                    "$last"; then
+                echo "perfbench: $workload seed $seed is not correct" >&2
+                return 1
+            fi
+        done
     done
 }
 

@@ -58,7 +58,7 @@ CacheAgent::CacheAgent(NodeId node, const HomeMap& home_map, Network& net,
       l1_(params.l1Size, params.l1Ways,
           "node" + std::to_string(node) + ".l1d"),
       l2_(params.l2Size, params.l2Ways,
-          "node" + std::to_string(node) + ".l2"),
+          "node" + std::to_string(node) + ".l2", /*spec_index=*/false),
       vc_(params.victimEntries), mshrs_(params.mshrs + 64)
 {
     net_.attachAgent(node_, this);

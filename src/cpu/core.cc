@@ -142,11 +142,9 @@ Core::retireStage()
             rob_.clear();
             recountRobStates();
         } else {
-            if (h.valueBound && isLoadLike(h.inst.type)) {
-                if (--boundLoads_ == 0)
-                    boundLoadFilter_ = 0;   // cheap exact-reset point
-            }
             rob_.popHead();
+            if (rob_.boundLoad().none())
+                boundLoadFilter_ = 0;   // cheap exact-reset point
         }
         ++retired;
         ++statRetired;
@@ -168,20 +166,23 @@ Core::retireStage()
 void
 Core::recountRobStates()
 {
-    pendingComplete_ = 0;
-    pendingDispatch_ = 0;
-    boundLoads_ = 0;
+    RobMask& complete = rob_.pendComplete();
+    RobMask& dispatch = rob_.pendDispatch();
+    RobMask& bound = rob_.boundLoad();
+    complete.clear();
+    dispatch.clear();
+    bound.clear();
     boundLoadFilter_ = 0;
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         const RobEntry& e = rob_.at(i);
         if (e.status == RobEntry::Status::Issued && e.valueBound)
-            ++pendingComplete_;
+            complete.set(i);
         if (e.status == RobEntry::Status::Dispatched &&
             isLoadLike(e.inst.type)) {
-            ++pendingDispatch_;
+            dispatch.set(i);
         }
         if (e.valueBound && isLoadLike(e.inst.type)) {
-            ++boundLoads_;
+            bound.set(i);
             boundLoadFilter_ |= blockFilterBit(e.inst.addr);
         }
     }
@@ -190,19 +191,25 @@ Core::recountRobStates()
 
 #ifndef NDEBUG
 void
-Core::verifyRobCounters() const
+Core::verifyRobStates() const
 {
-    std::uint32_t complete = 0, dispatch = 0, bound = 0;
+    const RobMask& complete = rob_.pendComplete();
+    const RobMask& dispatch = rob_.pendDispatch();
+    const RobMask& bound = rob_.boundLoad();
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         const RobEntry& e = rob_.at(i);
-        if (e.status == RobEntry::Status::Issued && e.valueBound)
-            ++complete;
-        if (e.status == RobEntry::Status::Dispatched &&
-            isLoadLike(e.inst.type)) {
-            ++dispatch;
-        }
-        if (e.valueBound && isLoadLike(e.inst.type)) {
-            ++bound;
+        IF_DBG_ASSERT(complete.test(i) ==
+                          (e.status == RobEntry::Status::Issued &&
+                           e.valueBound) &&
+                      "pending-complete mask drifted");
+        IF_DBG_ASSERT(dispatch.test(i) ==
+                          (e.status == RobEntry::Status::Dispatched &&
+                           isLoadLike(e.inst.type)) &&
+                      "pending-dispatch mask drifted");
+        IF_DBG_ASSERT(bound.test(i) ==
+                          (e.valueBound && isLoadLike(e.inst.type)) &&
+                      "bound-load mask drifted");
+        if (bound.test(i)) {
             IF_DBG_ASSERT((boundLoadFilter_ & blockFilterBit(e.inst.addr)) &&
                    "bound-load filter missed a bound load");
         }
@@ -219,9 +226,10 @@ Core::verifyRobCounters() const
             IF_DBG_ASSERT(s == e.seq && "store CAM chain missed a live store");
         }
     }
-    IF_DBG_ASSERT(complete == pendingComplete_ && "pendingComplete_ drifted");
-    IF_DBG_ASSERT(dispatch == pendingDispatch_ && "pendingDispatch_ drifted");
-    IF_DBG_ASSERT(bound == boundLoads_ && "boundLoads_ drifted");
+    IF_DBG_ASSERT(complete.next(rob_.size()) == RobMask::kBits &&
+                  dispatch.next(rob_.size()) == RobMask::kBits &&
+                  bound.next(rob_.size()) == RobMask::kBits &&
+                  "state mask bit set past the window");
 }
 #endif
 
@@ -229,40 +237,43 @@ void
 Core::executeStage()
 {
 #ifndef NDEBUG
-    verifyRobCounters();
+    verifyRobStates();
 #endif
-    // Nothing in flight: skip the window scan entirely (the common case
-    // for a stalled core in the legacy per-cycle loop).
-    if (pendingComplete_ == 0 && pendingDispatch_ == 0)
+    const RobMask& complete = rob_.pendComplete();
+    const RobMask& dispatch = rob_.pendDispatch();
+    // Nothing in flight: skip the scan entirely (the common case for a
+    // stalled core in the legacy per-cycle loop).
+    if (complete.none() && dispatch.none())
         return;
-    // The occupancy counters also bound the scan: once every pending
-    // completion and dispatched load has been visited, the remaining
-    // (Done / retired-stalled) entries can't match either arm.
-    std::uint32_t remaining_complete = pendingComplete_;
-    std::uint32_t remaining_dispatch = pendingDispatch_;
+    // Visit only the pending entries, oldest first. The next index is
+    // read from the live masks after every visit: an issue can evict a
+    // block whose snoop squashes part of the window mid-scan, and the
+    // masks track that exactly. The counts taken here bound the scan:
+    // once every entry pending on entry has been visited, any others
+    // were made pending by this scan and wait for the next tick.
+    std::uint32_t remaining_complete = complete.count();
+    std::uint32_t remaining_dispatch = dispatch.count();
     std::uint32_t issued = 0;
-    for (std::size_t i = 0; i < rob_.size(); ++i) {
+    for (std::size_t i = (complete | dispatch).next(0); i < rob_.size();
+         i = (complete | dispatch).next(i + 1)) {
         if (remaining_complete == 0 && remaining_dispatch == 0)
             break;
         RobEntry& e = rob_.at(i);
-        if (e.status == RobEntry::Status::Issued && e.valueBound) {
+        if (complete.test(i)) {
             --remaining_complete;
             if (e.readyAt <= now_) {
                 e.status = RobEntry::Status::Done;
-                --pendingComplete_;
+                rob_.pendComplete().reset(i);
                 noteWork();
                 if (isLoadLike(e.inst.type))
                     impl_->onLoadExecuted(e);
             }
             continue;
         }
-        if (e.status == RobEntry::Status::Dispatched &&
-            isLoadLike(e.inst.type)) {
-            --remaining_dispatch;
-            if (issued < params_.l1Ports && tryIssueLoad(i)) {
-                ++issued;
-                noteWork();
-            }
+        --remaining_dispatch;
+        if (issued < params_.l1Ports && tryIssueLoad(i)) {
+            ++issued;
+            noteWork();
         }
     }
 }
@@ -381,17 +392,18 @@ Core::forwardFromChain(std::size_t idx, Addr addr) const
 }
 
 void
-Core::bindLoadValue(RobEntry& entry, std::uint64_t value, Cycle ready)
+Core::bindLoadValue(std::size_t idx, std::uint64_t value, Cycle ready)
 {
+    RobEntry& entry = rob_.at(idx);
     IF_DBG_ASSERT(entry.status == RobEntry::Status::Dispatched &&
            isLoadLike(entry.inst.type));
     entry.result = value;
     entry.valueBound = true;
     entry.status = RobEntry::Status::Issued;
     entry.readyAt = ready;
-    --pendingDispatch_;
-    ++pendingComplete_;
-    ++boundLoads_;
+    rob_.pendDispatch().reset(idx);
+    rob_.pendComplete().set(idx);
+    rob_.boundLoad().set(idx);
     boundLoadFilter_ |= blockFilterBit(entry.inst.addr);
 }
 
@@ -442,14 +454,14 @@ Core::tryIssueLoad(std::size_t idx)
             e.waitSeq = fw.producerSeq;
             return false;       // wait for the producer to resolve
         }
-        bindLoadValue(e, fw.value, hit_ready);
+        bindLoadValue(idx, fw.value, hit_ready);
         ++statLoadForwards;
         return true;
     }
 
     // 2. Forward from the store buffer.
     if (auto v = impl_->forwardStore(addr)) {
-        bindLoadValue(e, *v, hit_ready);
+        bindLoadValue(idx, *v, hit_ready);
         ++statLoadForwards;
         return true;
     }
@@ -457,7 +469,7 @@ Core::tryIssueLoad(std::size_t idx)
     // 3. L1 hit (one combined readable-check + word read).
     std::uint64_t word = 0;
     if (agent_.tryReadL1(addr, &word)) {
-        bindLoadValue(e, word, hit_ready);
+        bindLoadValue(idx, word, hit_ready);
         ++statL1LoadHits;
         // Atomics also want write permission; prefetch it.
         if (isAtomic(e.inst.type) && params_.storePrefetch &&
@@ -490,7 +502,7 @@ Core::tryIssueLoad(std::size_t idx)
     e.status = RobEntry::Status::Issued;
     e.valueBound = false;
     e.readyAt = ~Cycle{0};
-    --pendingDispatch_;
+    rob_.pendDispatch().reset(idx);
     ++statLoadMisses;
     return true;
 }
@@ -504,10 +516,11 @@ Core::fillWakeThunk(void* owner, std::uint64_t arg)
 void
 Core::wakeLoad(InstSeq seq)
 {
-    const std::ptrdiff_t i = rob_.indexOf(seq);
-    if (i < 0)
+    const std::ptrdiff_t at = rob_.indexOf(seq);
+    if (at < 0)
         return;   // squashed while the fill was in flight
-    RobEntry& e = rob_.at(static_cast<std::size_t>(i));
+    const std::size_t i = static_cast<std::size_t>(at);
+    RobEntry& e = rob_.at(i);
     if (e.status != RobEntry::Status::Issued || e.valueBound)
         return;
     noteWork();
@@ -516,13 +529,13 @@ Core::wakeLoad(InstSeq seq)
         // The block was stolen before the (possibly deferred)
         // fill completed: replay the issue.
         e.status = RobEntry::Status::Dispatched;
-        ++pendingDispatch_;
+        rob_.pendDispatch().set(i);
         return;
     }
     e.result = filled;
     e.valueBound = true;
     e.status = RobEntry::Status::Done;
-    ++boundLoads_;
+    rob_.boundLoad().set(i);
     boundLoadFilter_ |= blockFilterBit(e.inst.addr);
     if (isLoadLike(e.inst.type))
         impl_->onLoadExecuted(e);
@@ -559,7 +572,7 @@ Core::dispatchStage()
             e.status = RobEntry::Status::Issued;
             e.valueBound = true;
             e.readyAt = now_ + inst.latency;
-            ++pendingComplete_;
+            rob_.pendComplete().set(rob_.size() - 1);
             break;
           case OpType::Nop:
           case OpType::Fence:
@@ -576,7 +589,7 @@ Core::dispatchStage()
           case OpType::Cas:
           case OpType::FetchAdd:
             e.status = RobEntry::Status::Dispatched;
-            ++pendingDispatch_;
+            rob_.pendDispatch().set(rob_.size() - 1);
             break;
           case OpType::Halt:
             break;
@@ -608,16 +621,14 @@ Core::notifyInvalidated(Addr block)
     // No value-bound loads in the window — or none whose block can hash
     // to this one: nothing to snoop (skips the ROB scan on the
     // invalidation-heavy path; the filter never misses a bound load).
-    if (boundLoads_ == 0 ||
-        (boundLoadFilter_ & blockFilterBit(block)) == 0) {
+    const RobMask& bound = rob_.boundLoad();
+    if (bound.none() || (boundLoadFilter_ & blockFilterBit(block)) == 0)
         return;
-    }
     const Addr blk = blockAlign(block);
-    for (std::size_t i = 0; i < rob_.size(); ++i) {
+    for (std::size_t i = bound.next(0); i < rob_.size();
+         i = bound.next(i + 1)) {
         RobEntry& e = rob_.at(i);
-        if (!isLoadLike(e.inst.type) || !e.valueBound || e.specMarked)
-            continue;
-        if (blockAlign(e.inst.addr) != blk)
+        if (e.specMarked || blockAlign(e.inst.addr) != blk)
             continue;
         // Replay this load and squash everything younger.
         program_.restoreFrom(rob_.snapAt(i));
@@ -643,12 +654,12 @@ Core::nextWorkAt() const
     // readyAt <= now (the tick would have completed it).
     if (robReadyVersion_ != workVersion_) {
         Cycle ready = kNeverCycle;
-        for (std::size_t i = 0; i < rob_.size(); ++i) {
-            const RobEntry& e = rob_.at(i);
-            if (e.status == RobEntry::Status::Issued && e.valueBound &&
-                e.readyAt < ready) {
-                ready = e.readyAt;
-            }
+        const RobMask& complete = rob_.pendComplete();
+        for (std::size_t i = complete.next(0); i < rob_.size();
+             i = complete.next(i + 1)) {
+            const Cycle at = rob_.at(i).readyAt;
+            if (at < ready)
+                ready = at;
         }
         robReadyVersion_ = workVersion_;
         robReadyMemo_ = ready;

@@ -199,25 +199,23 @@ class Core
     /** Same result via the word CAM chain: O(same-word store-likes). */
     RobForward forwardFromChain(std::size_t idx, Addr addr) const;
 
-    void bindLoadValue(RobEntry& entry, std::uint64_t value, Cycle ready);
+    /** Bind @p value to the dispatched load-like at index @p idx. */
+    void bindLoadValue(std::size_t idx, std::uint64_t value, Cycle ready);
 
     /**
-     * @{ Execute-stage occupancy counters, maintained at every status
-     * transition so the per-tick ROB scans can be skipped when nothing
-     * is in flight: pendingComplete_ counts Issued entries with a bound
-     * value (awaiting readyAt), pendingDispatch_ counts dispatched
-     * load-likes awaiting issue, and boundLoads_ counts value-bound
-     * load-likes (the in-window load queue the invalidation snoop
-     * searches). Squashes recount wholesale (rare); a debug build
-     * verifies the counters against a full scan every tick.
+     * @{ ROB state masks (Rob::pendComplete, pendDispatch, boundLoad).
+     * Every status transition sets or clears the entry's bits here in
+     * the core: dispatch, value binding, the miss issue, execute-stage
+     * completion and both fill-wake arms. The execute scan, nextWorkAt
+     * and the invalidation snoop iterate set bits only, and an empty
+     * mask skips its scan outright. Squashes rebuild the masks
+     * wholesale (rare); a debug build checks every bit against its
+     * entry's state every tick.
      */
     void recountRobStates();
 #ifndef NDEBUG
-    void verifyRobCounters() const;
+    void verifyRobStates() const;
 #endif
-    std::uint32_t pendingComplete_ = 0;
-    std::uint32_t pendingDispatch_ = 0;
-    std::uint32_t boundLoads_ = 0;
     /**
      * Conservative 64-bit filter over the block addresses of bound
      * load-likes: a set bit may be stale (loads leave at retirement

@@ -5,17 +5,29 @@
  * Loads live in the ROB itself (entries with a bound value act as the
  * load queue for snoop-based in-window speculation); stores execute their
  * memory side at retirement, so no separate store queue is modeled.
+ *
+ * Alongside the entries the ROB keeps three age-indexed state masks
+ * (bit i describes the entry at index i, 0 = head): pending-complete,
+ * pending-dispatch and bound-load. The core sets and clears bits at
+ * every status transition; the ROB keeps them aligned with the window
+ * as it retires, squashes and clears. The per-tick execute scan, the
+ * fast-forward readiness query and the invalidation snoop visit only
+ * set bits, in age order, instead of striding the whole window.
  */
 
 #ifndef INVISIFENCE_CPU_ROB_HH
 #define INVISIFENCE_CPU_ROB_HH
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
 #include "cpu/instruction.hh"
 #include "cpu/program.hh"
+#include "sim/annotations.hh"
+#include "sim/log.hh"
 #include "sim/types.hh"
 
 namespace invisifence {
@@ -62,6 +74,90 @@ static_assert(std::is_trivially_copyable_v<RobEntry>,
               "RobEntry must stay POD: the ROB is a preallocated ring");
 
 /**
+ * Fixed-width bitmask over ROB indices (bit i = the entry at index i).
+ * Two words cover every modelled window (Figure 6's ROB holds 96);
+ * Rob refuses larger capacities at construction.
+ */
+class RobMask
+{
+  public:
+    static constexpr std::size_t kWords = 2;
+    static constexpr std::size_t kBits = kWords * 64;
+
+    void set(std::size_t i) { w_[i / 64] |= bit(i); }
+    void reset(std::size_t i) { w_[i / 64] &= ~bit(i); }
+    bool test(std::size_t i) const { return (w_[i / 64] & bit(i)) != 0; }
+
+    bool none() const { return (w_[0] | w_[1]) == 0; }
+
+    std::uint32_t
+    count() const
+    {
+        return static_cast<std::uint32_t>(std::popcount(w_[0]) +
+                                          std::popcount(w_[1]));
+    }
+
+    /** Lowest set index at or after @p from; kBits when there is none. */
+    std::size_t
+    next(std::size_t from) const
+    {
+        for (std::size_t w = from / 64; w < kWords; ++w) {
+            std::uint64_t bits = w_[w];
+            if (w == from / 64)
+                bits &= ~std::uint64_t{0} << (from % 64);
+            if (bits != 0)
+                return w * 64 + static_cast<std::size_t>(
+                                    std::countr_zero(bits));
+        }
+        return kBits;
+    }
+
+    /** Retire index 0: every younger bit moves one index older. */
+    void
+    popFront()
+    {
+        w_[0] = (w_[0] >> 1) | (w_[1] << 63);
+        w_[1] >>= 1;
+    }
+
+    /** Clear every bit at index @p n and above. */
+    void
+    truncate(std::size_t n)
+    {
+        for (std::size_t w = 0; w < kWords; ++w) {
+            const std::size_t lo = w * 64;
+            if (n <= lo)
+                w_[w] = 0;
+            else if (n < lo + 64)
+                w_[w] &= ~(~std::uint64_t{0} << (n - lo));
+        }
+    }
+
+    void clear() { w_[0] = w_[1] = 0; }
+
+    friend RobMask
+    operator|(const RobMask& a, const RobMask& b)
+    {
+        RobMask m;
+        m.w_[0] = a.w_[0] | b.w_[0];
+        m.w_[1] = a.w_[1] | b.w_[1];
+        return m;
+    }
+
+  private:
+    static_assert(kWords == 2, "none/count/popFront/clear/| spell out "
+                                "exactly two words");
+
+    static std::uint64_t
+    bit(std::size_t i)
+    {
+        return bitOf<std::uint64_t>(static_cast<std::uint32_t>(i % 64));
+    }
+
+    std::uint64_t w_[kWords] = {};
+};
+
+/**
  * In-order window of RobEntry: a fixed ring over preallocated slots.
  *
  * The previous std::deque representation allocated a chunk per entry
@@ -79,7 +175,11 @@ class Rob
   public:
     explicit Rob(std::uint32_t capacity)
         : capacity_(capacity), slots_(capacity), snaps_(capacity)
-    {}
+    {
+        if (capacity > RobMask::kBits)
+            IF_FATAL("ROB of %u entries exceeds the %zu-entry state masks",
+                     capacity, RobMask::kBits);
+    }
 
     bool full() const { return size_ >= capacity_; }
     bool empty() const { return size_ == 0; }
@@ -102,6 +202,9 @@ class Rob
         if (head_ >= capacity_)
             head_ = 0;
         --size_;
+        pendComplete_.popFront();
+        pendDispatch_.popFront();
+        boundLoad_.popFront();
     }
 
     /** Remove every entry strictly younger than index @p idx. */
@@ -109,6 +212,9 @@ class Rob
     squashAfter(std::size_t idx)
     {
         size_ = idx + 1;
+        pendComplete_.truncate(size_);
+        pendDispatch_.truncate(size_);
+        boundLoad_.truncate(size_);
     }
 
     void
@@ -116,7 +222,24 @@ class Rob
     {
         head_ = 0;
         size_ = 0;
+        pendComplete_.clear();
+        pendDispatch_.clear();
+        boundLoad_.clear();
     }
+
+    /** @{ Age-indexed state masks, kept by the core at each status
+     *  transition: pending-complete is Issued with a bound value (waits
+     *  for readyAt), pending-dispatch is a Dispatched load-like (waits
+     *  to issue), bound-load is a load-like with a bound value (the
+     *  load queue the invalidation snoop searches). Bits at or past
+     *  size() are always clear. */
+    RobMask& pendComplete() { return pendComplete_; }
+    RobMask& pendDispatch() { return pendDispatch_; }
+    RobMask& boundLoad() { return boundLoad_; }
+    const RobMask& pendComplete() const { return pendComplete_; }
+    const RobMask& pendDispatch() const { return pendDispatch_; }
+    const RobMask& boundLoad() const { return boundLoad_; }
+    /** @} */
 
     RobEntry& at(std::size_t i) { return slots_[slot(i)]; }
     const RobEntry& at(std::size_t i) const { return slots_[slot(i)]; }
@@ -168,6 +291,9 @@ class Rob
     std::vector<ProgSnapshot> snaps_;   //!< cold lane, parallel to slots_
     std::size_t head_ = 0;
     std::size_t size_ = 0;
+    RobMask pendComplete_;
+    RobMask pendDispatch_;
+    RobMask boundLoad_;
 };
 
 } // namespace invisifence

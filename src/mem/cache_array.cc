@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdlib>
+#include <type_traits>
 
 #include "sim/annotations.hh"
 #include "sim/log.hh"
@@ -16,10 +18,23 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/** @p n zeroed objects of the trivially-copyable type @p T. */
+template <typename T>
+T*
+zeroAlloc(std::size_t n, const std::string& name)
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+    void* p = std::calloc(n, sizeof(T));
+    if (p == nullptr)
+        IF_FATAL("cache %s: out of memory for %zu lane entries", name.c_str(),
+                 n);
+    return static_cast<T*>(p);
+}
+
 } // namespace
 
 CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
-                       std::string name)
+                       std::string name, bool spec_index)
     : ways_(ways), name_(std::move(name))
 {
     if (ways == 0 || size_bytes % (static_cast<std::uint64_t>(ways) *
@@ -38,9 +53,12 @@ CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
     const std::size_t frames =
         static_cast<std::size_t>(num_sets_) * ways_;
     tags_.resize(frames);
-    data_.resize(frames);
-    gen_.resize(frames, 0);
+    // All-zero bytes are a zero payload and generation 0.
+    data_.reset(zeroAlloc<BlockData>(frames, name_));
+    gen_.reset(zeroAlloc<std::uint32_t>(frames, name_));
     mru_.resize(num_sets_, 0);
+    if (!spec_index)
+        return;
     // Worst case every frame is marked in a context: preallocating to
     // that bound keeps the speculative index allocation-free in steady
     // state (tests/alloc_steadystate_test.cc).
@@ -133,6 +151,8 @@ CacheArray::setSpecBit(std::uint32_t frame, std::uint32_t ctx,
     IF_DBG_ASSERT(ctx < kMaxCheckpoints);
     IF_DBG_ASSERT(tags_[frame].valid() &&
            "speculative bit on an invalid line");
+    IF_DBG_ASSERT(!specPos_[ctx].empty() &&
+                  "speculative bit on an array without a speculative index");
     CacheTag& tag = tags_[frame];
     const std::uint8_t bit = bitOf<std::uint8_t>(ctx);
     if (((tag.specRead | tag.specWritten) & bit) == 0) {
@@ -244,7 +264,7 @@ void
 CacheArray::verifySpecIndex() const
 {
     // The incremental index must agree with a full tag-lane scan — the
-    // same pattern as the ROB occupancy counters: O(1) in release,
+    // same pattern as the ROB state masks: O(1) in release,
     // re-derived from scratch in debug builds.
     for (std::uint32_t c = 0; c < kMaxCheckpoints; ++c) {
         const std::uint8_t bit = bitOf<std::uint8_t>(c);
@@ -263,7 +283,8 @@ CacheArray::verifySpecIndex() const
                        "spec index missing a marked frame");
                 ++marked;
             } else {
-                IF_DBG_ASSERT(specPos_[c][f] == kNoFrame &&
+                IF_DBG_ASSERT((specPos_[c].empty() ||
+                               specPos_[c][f] == kNoFrame) &&
                        "spec index holds an unmarked frame");
             }
         }

@@ -24,7 +24,8 @@
  * per-context index of speculatively-marked frames (maintained
  * incrementally by the spec-bit setters and debug-verified against a
  * full scan), so commit/abort cost O(marked lines) and countSpeculative
- * is O(1) rather than O(all lines).
+ * is O(1) rather than O(all lines). Only an array built with the index
+ * (the L1D) may take spec bits; the L2 skips its worst-case storage.
  */
 
 #ifndef INVISIFENCE_MEM_CACHE_ARRAY_HH
@@ -32,6 +33,8 @@
 
 #include "sim/annotations.hh"
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -222,9 +225,11 @@ class CacheArray
      * @param size_bytes total capacity
      * @param ways associativity
      * @param name stat prefix, e.g. "core3.l1d"
+     * @param spec_index build the speculative index; an array without
+     *        it never takes spec bits (the L2)
      */
     CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
-               std::string name);
+               std::string name, bool spec_index = true);
 
     /** Line holding @p addr, or a null Line on miss. No LRU update.
      *  Defined inline below: this is the hottest function in the
@@ -327,13 +332,25 @@ class CacheArray
     std::uint32_t num_sets_;
     std::uint32_t ways_;
     std::string name_;
+    /** Zero-filled lane storage from calloc: large lanes come straight
+     *  from fresh zero pages, so construction touches none of them and
+     *  costs the same whether or not the heap can recycle freed pages
+     *  (value-initialising a vector wrote every byte). */
+    struct FreeDeleter
+    {
+        void operator()(void* p) const { std::free(p); }
+    };
+    template <typename T>
+    using ZeroLane = std::unique_ptr<T[], FreeDeleter>;
+
     std::vector<CacheTag> tags_;     //!< hot lane, set-major
-    std::vector<BlockData> data_;    //!< cold lane, parallel to tags_
-    std::vector<std::uint32_t> gen_; //!< per-frame handle generation
+    ZeroLane<BlockData> data_;       //!< cold lane, parallel to tags_
+    ZeroLane<std::uint32_t> gen_;    //!< per-frame handle generation
     std::vector<std::uint8_t> mru_;  //!< per-set predicted way
     /** Incremental speculative index: frames with any bit in ctx, plus
      *  each frame's position in that list (kNoFrame when absent). All
-     *  storage is preallocated to worst case — no steady-state allocs. */
+     *  storage is preallocated to worst case — no steady-state allocs.
+     *  Empty in an array built without the index. */
     std::vector<std::uint32_t> specFrames_[kMaxCheckpoints];
     std::vector<std::uint32_t> specPos_[kMaxCheckpoints];
     std::vector<std::uint32_t> flashScratch_;

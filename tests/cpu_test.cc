@@ -1,8 +1,14 @@
 /** @file Core pipeline tests: dispatch/retire, forwarding, squash and
- *  replay, journaling, halting. Single- and dual-core scripted systems. */
+ *  replay, journaling, halting. Single- and dual-core scripted systems,
+ *  plus the ROB's age-indexed state masks against a naive model. */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
+#include "cpu/rob.hh"
+#include "sim/rng.hh"
 #include "test_util.hh"
 
 using namespace invisifence;
@@ -180,4 +186,114 @@ TEST(CorePipeline, LoadQueueSnoopSquashesStaleLoad)
         EXPECT_FALSE(loads[0] == 1 && loads[1] == 0)
             << "coherence order violated (seed " << seed << ")";
     }
+}
+
+namespace {
+
+/**
+ * Randomized ROB mask oracle: push, popHead, squashAfter, clear and
+ * per-bit set/reset, with the ring's head wrapping many times, checked
+ * after every step against a per-index model of the window. Each
+ * mask's next() from every start index, count() and none() must agree.
+ */
+void
+runRobMaskOracle(std::uint32_t capacity, std::uint64_t seed)
+{
+    Rob rob(capacity);
+    // model[i][m]: bit of mask m for the entry at index i (0 = head).
+    std::vector<std::array<bool, 3>> model;
+    std::vector<InstSeq> seqs;
+    InstSeq next_seq = 1;
+    const auto mask = [&rob](std::size_t m) -> RobMask& {
+        return m == 0 ? rob.pendComplete()
+                      : m == 1 ? rob.pendDispatch() : rob.boundLoad();
+    };
+    Rng rng(seed);
+    std::uint64_t pops = 0, deep_steps = 0;
+    for (int step = 0; step < 6000; ++step) {
+        const std::uint64_t op = rng.below(1000);
+        if (op < 450) {
+            if (!rob.full()) {
+                rob.push().seq = next_seq;
+                seqs.push_back(next_seq++);
+                model.push_back({false, false, false});
+            }
+        } else if (op < 650) {
+            if (!rob.empty()) {
+                ++pops;
+                rob.popHead();
+                seqs.erase(seqs.begin());
+                model.erase(model.begin());
+            }
+        } else if (op < 653) {
+            if (!rob.empty()) {
+                const std::size_t idx = rng.below(rob.size());
+                rob.squashAfter(idx);
+                seqs.resize(idx + 1);
+                model.resize(idx + 1);
+            }
+        } else if (op < 654) {
+            rob.clear();
+            seqs.clear();
+            model.clear();
+        } else if (!rob.empty()) {
+            const std::size_t i = rng.below(rob.size());
+            const std::size_t m = rng.below(3);
+            const bool value = op < 880;
+            if (value)
+                mask(m).set(i);
+            else
+                mask(m).reset(i);
+            model[i][m] = value;
+        }
+
+        ASSERT_EQ(rob.size(), model.size()) << "step " << step;
+        if (rob.size() > 64)
+            ++deep_steps;
+        for (std::size_t i = 0; i < seqs.size(); ++i)
+            ASSERT_EQ(rob.at(i).seq, seqs[i]) << "step " << step;
+        for (std::size_t m = 0; m < 3; ++m) {
+            std::uint32_t count = 0;
+            for (const auto& bits : model)
+                count += bits[m] ? 1u : 0u;
+            ASSERT_EQ(mask(m).count(), count)
+                << "mask " << m << " step " << step;
+            ASSERT_EQ(mask(m).none(), count == 0)
+                << "mask " << m << " step " << step;
+            // Naive next(): walk down from kBits so each start index
+            // reuses the answer for the one above it.
+            std::size_t expect = RobMask::kBits;
+            for (std::size_t from = RobMask::kBits + 1; from-- > 0;) {
+                if (from < model.size() && model[from][m])
+                    expect = from;
+                ASSERT_EQ(mask(m).next(from), expect)
+                    << "mask " << m << " from " << from << " step "
+                    << step;
+            }
+        }
+    }
+    // The walk must reach the second mask word and wrap the ring.
+    EXPECT_GT(deep_steps, 1000u);
+    EXPECT_GT(pops, 2u * capacity);
+}
+
+} // namespace
+
+TEST(RobMasks, MatchNaiveModelAt96Entries)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        runRobMaskOracle(96, seed);
+}
+
+TEST(RobMasks, MatchNaiveModelAt128Entries)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        runRobMaskOracle(128, seed);
+}
+
+TEST(RobMasksDeathTest, CapacityPastMaskWidthIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(Rob rob(RobMask::kBits + 1), ::testing::ExitedWithCode(1),
+                "state masks");
 }

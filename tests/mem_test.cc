@@ -226,6 +226,50 @@ TEST(CacheArray, InvalidateClearsEverything)
     EXPECT_FALSE(c.lookup(0));
 }
 
+TEST(CacheArray, WithoutSpecIndexServesEveryNonSpeculativeOp)
+{
+    // The L2 is built without the speculative index and zero-allocated
+    // lanes: install, lookup, victim choice, invalidation and handles
+    // must all work as in the L1D, and every fresh frame reads zero.
+    CacheArray c(4096, 2, "l2", /*spec_index=*/false);   // 32 sets
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        const Addr a = static_cast<Addr>(i) * kBlockBytes;
+        CacheArray::Line v = c.findVictim(a);
+        ASSERT_FALSE(v.valid()) << "frame " << i << " not fresh";
+        for (const std::uint8_t byte : v.data().bytes)
+            ASSERT_EQ(byte, 0u) << "fresh frame data not zero";
+        v.install(a, CoherenceState::Shared);
+        c.touch(v);
+        v.data().writeWord(0, 0x1000 + i);
+    }
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        const Addr a = static_cast<Addr>(i) * kBlockBytes;
+        const CacheArray::Line l = c.lookup(a);
+        ASSERT_TRUE(l);
+        EXPECT_EQ(l.data().readWord(0), 0x1000u + i);
+    }
+
+    // Block 32 shares set 0 with block 0 and was touched later, so a
+    // new block for set 0 evicts block 0.
+    const CacheArray::Handle h0 = c.lookup(0).handle();
+    const CacheArray::Handle h32 = c.lookup(32 * kBlockBytes).handle();
+    CacheArray::Line victim = c.findVictim(64 * kBlockBytes);
+    EXPECT_EQ(victim.blockAddr(), 0u);
+    victim.invalidate();
+    EXPECT_FALSE(c.resolve(h0));
+    ASSERT_TRUE(c.resolve(h32));
+    victim.install(64 * kBlockBytes, CoherenceState::Modified);
+    EXPECT_FALSE(c.resolve(h0));
+    EXPECT_FALSE(c.lookup(0));
+    EXPECT_EQ(c.lookup(64 * kBlockBytes), victim);
+    EXPECT_EQ(c.resolve(victim.handle()), victim);
+
+    c.lookup(32 * kBlockBytes).invalidate();
+    EXPECT_FALSE(c.resolve(h32));
+    EXPECT_EQ(c.countSpeculative(0), 0u);
+    EXPECT_EQ(c.countSpeculative(1), 0u);
+}
+
 // ------------------------------------------- handle/generation semantics
 
 TEST(CacheArrayHandle, SurvivesStateAndLruChanges)
