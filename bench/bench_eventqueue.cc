@@ -8,7 +8,7 @@
  * No google-benchmark dependency (availability varies per container);
  * prints events/second per shape and runs in the smoke tier so the
  * numbers can never silently rot. An optional argv[1] scales the event
- * count (default 2'000'000; the smoke tier passes 200000).
+ * count (default 2'000'000, which the smoke tier runs).
  */
 
 #include <chrono>

@@ -5,7 +5,8 @@
  * Each binary regenerates one table/figure of the paper. Absolute
  * numbers differ from the paper's testbed; the *shape* (who wins, by
  * roughly what factor, where crossovers fall) is the reproduction
- * target. See EXPERIMENTS.md.
+ * target. A configuration that commits nothing in the measure window
+ * has no speedup to report; its speedup cell prints `stalled`.
  *
  * All benches run their grids through SweepRunner: points execute in
  * parallel across INVISIFENCE_JOBS worker threads, repeated for
@@ -141,8 +142,9 @@ printSpeedups(const std::string& title,
             const Estimate sp =
                 estimateOf(pairedSpeedups(row.at(implKindName(k)), base));
             if (sp.n == 0) {
-                // A configuration that made no committed progress in the
-                // window (see EXPERIMENTS.md, Figure 11 known gap).
+                // No seed of this configuration (or of the baseline)
+                // committed anything in the measure window, so there is
+                // no speedup to print.
                 cells.push_back("stalled");
                 continue;
             }

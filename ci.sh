@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: lint, Release, Debug+ASan/UBSan, TSan, a format
-# check, and the repo benchmark's exactness check.
+# check, and the repo benchmark's exactness and work/speed gate.
 #
 #   ./ci.sh            run everything
 #   ./ci.sh lint       iflint source rules + binary hot-path allocation
@@ -18,18 +18,19 @@
 #                      fault matrix, the planted-deadlock/watchdog
 #                      fixtures, and an env-knob smoke run (retries
 #                      under drops must still finish the quickstart)
-#   ./ci.sh perfsmoke  event-queue microbench + bench_wallclock at a
-#                      small budget, failing if kcps_fastfwd regresses
-#                      >25% against the committed BENCH_wallclock.json
-#                      (tolerance sized for a noisy 1-CPU box); prints a
-#                      per-point kcps delta table + geomean, not just
-#                      pass/fail
 #   ./ci.sh bench      repo benchmark (perfbench/run.py) for 1 s on each
 #                      of its three workloads at seeds 1 and 2, failing
 #                      unless every run reports "correct": seed 1 points
 #                      must match perfbench/expected.json (the exact
-#                      modelled digests); held-out seed 2 points must
-#                      repeat exactly and match runExperiment
+#                      modelled digests) and run with --trace 1, so
+#                      traced passes must equal untraced ones; held-out
+#                      seed 2 points must repeat exactly and match
+#                      runExperiment. Each seed-1 line then goes through
+#                      tools/perfgate.py against BENCH_perfgate.json:
+#                      the core-tick, fast-forward, shard-skip and event
+#                      counts must be exact, and probe-scaled
+#                      harness.run_s may not fall below 0.75x the
+#                      committed speed
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -138,35 +139,20 @@ run_tidy() {
     clang-tidy -p build-release --warnings-as-errors='*' $files
 }
 
-run_perfsmoke() {
-    echo "== Perf smoke: event-queue microbench + wall-clock check =="
-    cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-    cmake --build build-release -j "$JOBS" \
-        --target bench_eventqueue bench_wallclock
-    ./build-release/bench/bench_eventqueue 500000
-    # Small budget: BENCH_CYCLES=24000 means a 24k-cycle measure window
-    # plus a 4k warmup (RunConfig::fromEnv uses measure/6), 28k total vs
-    # the committed JSON's 62k. kcycles/second is budget-independent to
-    # first order, and a 25% regression gate absorbs both that and this
-    # box's scheduling noise. ASOsc is excluded: its ~93%-dormant runs
-    # amortize very differently at small budgets, so its small-budget
-    # kcps is not comparable.
-    INVISIFENCE_BENCH_CYCLES=24000 ./build-release/bench/bench_wallclock \
-        --config bench --against BENCH_wallclock.json --min-ratio 0.75 \
-        --skip-check-impl ASOsc
-}
-
 run_bench() {
     echo "== Repo benchmark: every workload at the default and a held-out seed =="
     # run.py builds its own Release tree under .bench_build/ and prints
     # one JSON object as its last line. "correct" is false when a point
     # run's modelled results differ from expected.json (seed 1), or, on
     # any other seed, differ between repeats or from runExperiment.
-    local workload seed last
+    # Seed 1 runs traced: its per-layer line feeds the work/speed gate,
+    # which reports every workload before the stage fails.
+    local workload seed last gate_failed=0
     for seed in 1 2; do
         for workload in apache16-spec oltp16-paper-conv zipfkv64-contended; do
             last=$(python3 perfbench/run.py --workload "$workload" \
-                --seed "$seed" --seconds 1 | tail -n 1)
+                --seed "$seed" --seconds 1 --trace $((seed == 1)) \
+                | tail -n 1)
             echo "$workload seed $seed: ${last:0:80}"
             if ! python3 -c 'import json, sys
 sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
@@ -174,8 +160,13 @@ sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
                 echo "perfbench: $workload seed $seed is not correct" >&2
                 return 1
             fi
+            if [ "$seed" = 1 ] &&
+                    ! python3 tools/perfgate.py "$workload" <<<"$last"; then
+                gate_failed=1
+            fi
         done
     done
+    return "$gate_failed"
 }
 
 run_format() {
@@ -201,11 +192,10 @@ case "$STAGE" in
   tsan)      run_tsan ;;
   tidy)      run_tidy ;;
   format)    run_format ;;
-  perfsmoke) run_perfsmoke ;;
   bench)     run_bench ;;
   all)       run_format; run_tidy; run_lint; run_release; run_asan
-             run_faults; run_tsan; run_perfsmoke; run_bench ;;
-  *) echo "usage: $0 [all|lint|release|asan|faults|tsan|tidy|format|perfsmoke|bench]" >&2
+             run_faults; run_tsan; run_bench ;;
+  *) echo "usage: $0 [all|lint|release|asan|faults|tsan|tidy|format|bench]" >&2
      exit 2 ;;
 esac
 echo "ci.sh: $STAGE OK"
