@@ -75,31 +75,19 @@ CacheAgent::CacheAgent(NodeId node, const HomeMap& home_map, Network& net,
     }
 }
 
-CacheAgent::Where
-CacheAgent::probe(Addr addr) const
-{
-    if (l1_.lookup(addr))
-        return Where::L1;
-    if (vc_.contains(addr) || l2_.lookup(addr))
-        return Where::Local;
-    return Where::Remote;
-}
-
 bool
 CacheAgent::l1Readable(Addr addr) const
 {
-    if (!l1_.lookup(addr))
-        return false;
-    return static_cast<bool>(l2_.lookup(addr));
+    checkTagInvariant(addr);
+    return static_cast<bool>(l1_.lookup(addr));
 }
 
 bool
 CacheAgent::l1Writable(Addr addr) const
 {
-    if (!l1_.lookup(addr))
-        return false;
-    const CacheArray::Line l2line = l2_.lookup(addr);
-    return l2line && isWritable(l2line.state());
+    checkTagInvariant(addr);
+    const CacheArray::Line l1line = l1_.lookup(addr);
+    return l1line && isWritable(l1line.state());
 }
 
 bool
@@ -112,8 +100,9 @@ CacheAgent::l1Dirty(Addr addr) const
 bool
 CacheAgent::tryReadL1(Addr addr, std::uint64_t* value) const
 {
+    checkTagInvariant(addr);
     const CacheArray::Line l1line = l1_.lookup(addr);
-    if (!l1line || !l2_.lookup(addr))
+    if (!l1line)
         return false;
     *value = l1line.data().readWord(blockOffset(wordAlign(addr)));
     return true;
@@ -147,11 +136,9 @@ CacheAgent::request(Addr addr, bool write, FillWaiter cb)
     if (l2line) {
         if (!write || isWritable(l2line.state())) {
             // Local fill: data and permission both available.
-            const bool vc_hit = vc_.contains(block);
+            const bool vc_hit = vc_.extract(block);
             const Cycle lat =
                 vc_hit ? params_.victimLatency : params_.l2Latency;
-            if (vc_hit)
-                vc_.extract(block, nullptr);
             const Cycle due = eq_.now() + lat;
             // Merge into the just-scheduled local fill for this block
             // when nothing else entered the queue since (the two
@@ -173,6 +160,7 @@ CacheAgent::request(Addr addr, bool write, FillWaiter cb)
             }
             LocalFillBatch& b = localBatches_[slot];
             b.block = block;
+            b.l2h = l2line.handle();
             hotPush(b.waiters, cb);
             eq_.schedule(lat, [this, slot]() {
                 runLocalFillBatch(slot);
@@ -234,19 +222,25 @@ CacheAgent::writeWordL1(const BlockView& view, Addr addr,
                         std::uint64_t value, bool speculative,
                         std::uint32_t ctx)
 {
-    MaskedBlock mb;
-    mb.write(blockOffset(wordAlign(addr)), kWordBytes, value);
-    writeMaskedL1(view, mb, speculative, ctx);
+    noteL1Write(view, speculative, ctx);
+    view.l1.data().writeWord(blockOffset(wordAlign(addr)), value);
 }
 
 void
 CacheAgent::writeMaskedL1(const BlockView& view, const MaskedBlock& data,
                           bool speculative, std::uint32_t ctx)
 {
+    noteL1Write(view, speculative, ctx);
+    data.applyTo(view.l1.data());
+}
+
+void
+CacheAgent::noteL1Write(const BlockView& view, bool speculative,
+                        std::uint32_t ctx)
+{
     const CacheArray::Line l1line = view.l1;
-    const CacheArray::Line l2line = view.l2;
-    IF_DBG_ASSERT(l1line && l2line && isWritable(l2line.state()) &&
-           "write to non-writable block");
+    IF_DBG_ASSERT(view.writable() && "write to non-writable block");
+    checkTagInvariant(l1line.blockAddr());
     if (speculative) {
         // The cleaning writeback must already have preserved the
         // pre-speculative value of a dirty block (Section 3.2).
@@ -257,9 +251,13 @@ CacheAgent::writeMaskedL1(const BlockView& view, const MaskedBlock& data,
             ++specLines_;
         l1line.setSpecWritten(ctx);
     }
-    data.applyTo(l1line.data());
     l1line.setDirty(true);
-    l2line.setState(CoherenceState::Modified);
+    if (l1line.state() != CoherenceState::Modified) {
+        // First write to an Exclusive block: both levels go to
+        // Modified. A Modified L1 tag means the L2's is Modified too.
+        l1line.setState(CoherenceState::Modified);
+        l2_.lookup(l1line.blockAddr()).setState(CoherenceState::Modified);
+    }
     l1_.touch(l1line);
 }
 
@@ -332,7 +330,7 @@ CacheAgent::tryInstantL1Install(Addr addr)
     CacheArray::Line l2line = l2_.lookup(block);
     if (!l2line)
         return false;
-    vc_.extract(block, nullptr);
+    vc_.extract(block);
     return static_cast<bool>(installL1(block, l2line));
 }
 
@@ -371,11 +369,15 @@ CacheAgent::deliver(const Msg& msg)
 }
 
 void
-CacheAgent::completeLocalFill(Addr block, FillWaiter cb, int attempt)
+CacheAgent::completeLocalFill(Addr block, FillWaiter cb, int attempt,
+                              CacheArray::Handle l2h)
 {
     // Revalidate: an external request may have taken the block away
-    // while the fill was pending.
-    CacheArray::Line l2line = l2_.lookup(block);
+    // while the fill was pending. The pinned handle answers in O(1)
+    // while its frame is untouched; otherwise the tag scan decides.
+    CacheArray::Line l2line = l2_.resolve(l2h);
+    if (!l2line)
+        l2line = l2_.lookup(block);
     if (l2line) {
         if (!installL1(block, l2line)) {
             // Speculative overflow: wait for the store buffer to drain
@@ -400,12 +402,13 @@ CacheAgent::runLocalFillBatch(std::uint32_t slot)
     // Move the waiters out first: a waiter can re-enter request() and
     // grow localBatches_, invalidating references into the slab.
     const Addr block = localBatches_[slot].block;
+    const CacheArray::Handle l2h = localBatches_[slot].l2h;
     std::vector<FillWaiter> waiters =
         std::move(localBatches_[slot].waiters);
     // Each waiter revalidates/defers independently, exactly as the N
     // adjacent per-waiter events it replaces would have.
     for (const FillWaiter& cb : waiters)
-        completeLocalFill(block, cb, 0);
+        completeLocalFill(block, cb, 0, l2h);
     waiters.clear();
     LocalFillBatch& b = localBatches_[slot];
     b.waiters = std::move(waiters);   // recycle the capacity
@@ -562,8 +565,10 @@ CacheAgent::serveExternal(const Msg& msg, CacheArray::Handle l1h)
             const bool dirty = l2line.state() == CoherenceState::Modified;
             sendToHome(MsgType::DataToHome, block, &l2line.data(), dirty);
             // Home writes memory; our retained copy becomes a clean
-            // Shared one.
+            // Shared one, at both levels.
             l2line.setState(CoherenceState::Shared);
+            if (l1line)
+                l1line.setState(CoherenceState::Shared);
         } else if (Mshr* wb = mshrs_.lookup(block, Mshr::Kind::Writeback)) {
             sendToHome(MsgType::DataToHome, block, &wb->wbData,
                        wb->wbDirty);
@@ -694,8 +699,12 @@ CacheAgent::installL2(Addr block, const BlockData& data,
                       CoherenceState state)
 {
     if (CacheArray::Line existing = l2_.lookup(block)) {
+        // Refresh, e.g. the upgrade fill of a Shared copy: an L1 copy
+        // takes the new state with it.
         existing.data() = data;
         existing.setState(state);
+        if (const CacheArray::Line l1line = l1_.lookup(block))
+            l1line.setState(state);
         l2_.touch(existing);
         return existing;
     }
@@ -731,10 +740,11 @@ CacheAgent::installL1(Addr block, CacheArray::Line l2line)
 
     if (CacheArray::Line existing = l1_.lookup(block)) {
         // Refresh data from the L2 only when the L1 copy is clean;
-        // a dirty L1 copy is newer than the L2's.
+        // a dirty L1 copy is newer than the L2's. The state needs no
+        // refresh: installL2 already set it at both levels.
+        IF_DBG_ASSERT(existing.state() == l2line.state());
         if (!existing.dirty())
             existing.data() = l2line.data();
-        existing.setState(l2line.state());
         l1_.touch(existing);
         if (listener_)
             listener_->onL1Install(block);
@@ -760,8 +770,7 @@ CacheAgent::installL1(Addr block, CacheArray::Line l2line)
         IF_DBG_ASSERT(!victim.speculative());
         if (victim.dirty())
             syncL2FromL1(victim, l2_.lookup(victim.blockAddr()));
-        vc_.insertFrom(victim.blockAddr(), victim.state(),
-                       victim.data());
+        vc_.insert(victim.blockAddr());
         victim.invalidate();
     }
 
@@ -778,10 +787,11 @@ CacheAgent::syncL2FromL1(CacheArray::Line l1line, CacheArray::Line l2line)
 {
     if (!l1line || !l1line.dirty())
         return;
-    IF_DBG_ASSERT(l2line && isWritable(l2line.state()) &&
-           "dirty L1 line without writable L2 backing");
+    // A dirty L1 line is Modified, so its L2 line already is too.
+    IF_DBG_ASSERT(l2line && l1line.state() == CoherenceState::Modified &&
+           l2line.state() == CoherenceState::Modified &&
+           "dirty L1 line without Modified L2 backing");
     l2line.data() = l1line.data();
-    l2line.setState(CoherenceState::Modified);
     l1line.setDirty(false);
 }
 
@@ -795,10 +805,7 @@ CacheAgent::evictL2Line(CacheArray::Line line)
     // the avoidance logic in installL2) and the victim cache copy.
     if (CacheArray::Line l1line = l1_.lookup(block)) {
         IF_DBG_ASSERT(!l1line.speculative());
-        if (l1line.dirty()) {
-            line.data() = l1line.data();
-            line.setState(CoherenceState::Modified);
-        }
+        syncL2FromL1(l1line, line);
         l1line.invalidate();
     }
     vc_.invalidate(block);

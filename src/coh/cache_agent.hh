@@ -3,16 +3,23 @@
  * Per-node cache agent: private inclusive L1D + L2 pair, victim cache,
  * MSHRs, and the node's side of the directory protocol.
  *
- * The agent is the coherence endpoint for its node. The L2 line holds the
- * node's global MESI state; the L1 holds presence, an L1-vs-L2 dirty bit,
- * block data, and InvisiFence's speculatively-read/written bits. Blocks
- * with speculative bits never leave the L1 (their eviction forces the
- * listener to resolve the speculation), so external-request conflict
- * checks against L1 bits detect every ordering violation (Section 3.2).
+ * The agent is the coherence endpoint for its node. The hierarchy is
+ * inclusive (every L1-resident block is L2-resident), and both levels'
+ * tags carry the node's global MESI state of the block, kept equal at
+ * every transition: install and refresh, the first write (E -> M), the
+ * FwdGetS downgrade and the upgrade fill. Presence and permission checks
+ * therefore probe the L1 tag alone; the L2 is probed only for blocks the
+ * L1 does not hold and where its own line is read or written. Debug
+ * builds cross-check both levels on every permission probe. The L1 also
+ * holds an L1-vs-L2 dirty bit, block data, and InvisiFence's
+ * speculatively-read/written bits. Blocks with speculative bits never
+ * leave the L1 (their eviction forces the listener to resolve the
+ * speculation), so external-request conflict checks against L1 bits
+ * detect every ordering violation (Section 3.2).
  *
- * Protocol steps that need both levels of one block resolve them once
- * into a BlockView and pass that view (or a generation-stamped handle)
- * down, instead of re-running the tag scan at every layer.
+ * Protocol steps resolve a block once into a BlockView (or a generation-
+ * stamped handle) and pass it down, instead of re-running the tag scan
+ * at every layer.
  */
 
 #ifndef INVISIFENCE_COH_CACHE_AGENT_HH
@@ -72,50 +79,57 @@ class CacheAgent
 
     void setListener(CoherenceListener* l) { listener_ = l; }
 
-    /** Where a block currently lives, for hit/miss latency accounting. */
-    enum class Where { L1, Local, Remote };
-    Where probe(Addr addr) const;
-
     /**
-     * Both levels of one block, resolved once per protocol step.
-     * A view is a pair of lightweight Line accessors — reads through it
-     * always see the current line contents; it must not be held across
-     * simulated time (take a Handle for that).
+     * A block's L1 line, resolved once per protocol step. Reads through
+     * it always see the current line contents; it must not be held
+     * across simulated time (take a Handle for that).
      */
     struct BlockView
     {
         CacheArray::Line l1;   //!< null when not L1-resident
-        CacheArray::Line l2;   //!< null when not L2-resident
 
-        /** Same predicate as l1Writable(): present + writable state. */
+        /** Same predicate as l1Writable(). */
         bool
         writable() const
         {
-            return l1 && l2 && isWritable(l2.state());
+            return l1 && isWritable(l1.state());
         }
     };
 
-    /**
-     * Resolve @p addr's block for the write/routing paths. The L2 tag
-     * scan runs only when the L1 holds the block (writability needs
-     * both; every other consumer of the view checks `l1` first), so
-     * the common pending-miss probe touches one tag lane, not two.
-     */
+    /** Resolve @p addr's block for the write/routing paths: one L1 tag
+     *  probe, since the L1 tag carries the block's permission. */
     BlockView
     resolveBlock(Addr addr)
     {
-        BlockView v;
-        v.l1 = l1_.lookup(addr);
-        if (v.l1)
-            v.l2 = l2_.lookup(addr);
-        return v;
+        checkTagInvariant(addr);
+        return {l1_.lookup(addr)};
     }
 
-    /** @{ Presence and permission probes (L2 state is authoritative). */
+    /** @{ Presence and permission probes (one L1 tag probe each). */
     bool l1Readable(Addr addr) const;
     bool l1Writable(Addr addr) const;
     bool l1Dirty(Addr addr) const;
     /** @} */
+
+    /**
+     * Debug builds: assert that @p addr's block, if L1-resident, is
+     * L2-resident in the same coherence state (the invariant the
+     * one-probe permission checks rely on). Compiles to nothing under
+     * NDEBUG.
+     */
+    void
+    checkTagInvariant([[maybe_unused]] Addr addr) const
+    {
+#ifndef NDEBUG
+        const CacheArray::Line l1line = l1_.lookup(addr);
+        if (!l1line)
+            return;
+        const CacheArray::Line l2line = l2_.lookup(addr);
+        IF_DBG_ASSERT(l2line && "L1 block without L2 backing");
+        IF_DBG_ASSERT(l1line.state() == l2line.state() &&
+                      "L1 and L2 disagree on a block's coherence state");
+#endif
+    }
 
     /**
      * Combined l1Readable + readWordL1: one resolution. True and the
@@ -254,6 +268,10 @@ class CacheAgent
      */
     void serveExternal(const Msg& msg, CacheArray::Handle l1h);
     void handleWbAck(const Msg& msg);
+    /** Bookkeeping of an L1 write (speculative bit, dirty bit, E -> M
+     *  at both levels, LRU); the caller stores the bytes. */
+    void noteL1Write(const BlockView& view, bool speculative,
+                     std::uint32_t ctx);
 
     /** Install/update a block in the L2 (may evict; sends writebacks). */
     CacheArray::Line installL2(Addr block, const BlockData& data,
@@ -268,8 +286,10 @@ class CacheAgent
     CacheArray::Line installL1(Addr block, CacheArray::Line l2line);
     /** Retry loop for network fills blocked on speculative eviction. */
     void finishFill(Addr block, int attempt);
-    /** Retry loop for L2/VC-local fills (same deferral rules). */
-    void completeLocalFill(Addr block, FillWaiter cb, int attempt);
+    /** Retry loop for L2/VC-local fills (same deferral rules). @p l2h
+     *  is the L2 line pinned at request time (null on retries). */
+    void completeLocalFill(Addr block, FillWaiter cb, int attempt,
+                           CacheArray::Handle l2h = {});
     /** Run one batch of merged same-(block, due) local-fill waiters. */
     void runLocalFillBatch(std::uint32_t slot);
     void evictL2Line(CacheArray::Line line);
@@ -334,6 +354,7 @@ class CacheAgent
     struct LocalFillBatch
     {
         Addr block = 0;
+        CacheArray::Handle l2h;   //!< the block's L2 line at request
         std::vector<FillWaiter> waiters;
         std::uint32_t nextFree = ~std::uint32_t{0};
     };

@@ -140,9 +140,12 @@ ConventionalFifoImpl::tick()
     // In-order drain of the FIFO head, up to two stores per cycle.
     for (int k = 0; k < 2 && !sb_.empty(); ++k) {
         FifoStoreBuffer::Entry& head = sb_.front();
-        if (agent_.l1Writable(head.addr)) {
-            agent_.writeWordL1(head.addr, head.data, false, 0);
+        const CacheAgent::BlockView view = agent_.resolveBlock(head.addr);
+        if (view.writable()) {
+            agent_.writeWordL1(view, head.addr, head.data, false, 0);
             sb_.popFront();
+            if (settled_ > 0)
+                --settled_;
             ++statDrained;
             core_.noteWork();
             continue;
@@ -162,22 +165,47 @@ ConventionalFifoImpl::tick()
     }
     // Store prefetching: acquire write permission for younger entries
     // while the head waits (Flexus models this too, Section 6.1).
-    if (core_.params().storePrefetch) {
-        int prefetches = 0;
-        for (auto& e : sb_.entries()) {
-            if (prefetches >= 2)
-                break;
-            if (e.issued || agent_.l1Writable(e.addr))
-                continue;
-            if (agent_.request(e.addr, true)) {
-                e.issued = true;
-                ++prefetches;
-                core_.noteWork();
-            } else {
-                break;   // MSHRs exhausted
-            }
-        }
+    if (core_.params().storePrefetch)
+        prefetchScan();
+}
+
+void
+ConventionalFifoImpl::prefetchScan()
+{
+    // The scan skips entries that are issued or writable. Issued is
+    // sticky, and a writable block stays writable until some L1 line
+    // loses write permission, which bumps the L1's permission epoch:
+    // so while the epoch holds, the settled prefix found by earlier
+    // scans is still all skips, and the scan resumes after it.
+    const std::uint64_t epoch = agent_.l1().permEpoch();
+    if (epoch != settledEpoch_)
+        settled_ = 0;
+    auto& entries = sb_.entries();
+#ifndef NDEBUG
+    for (std::size_t i = 0; i < settled_; ++i) {
+        IF_DBG_ASSERT((entries[i].issued ||
+                       agent_.l1Writable(entries[i].addr)) &&
+                      "settled store-buffer entry lost its permission");
     }
+#endif
+    int prefetches = 0;
+    std::size_t i = settled_;
+    for (; i < entries.size(); ++i) {
+        if (prefetches >= 2)
+            break;
+        FifoStoreBuffer::Entry& e = entries[i];
+        if (e.issued || agent_.l1Writable(e.addr))
+            continue;
+        if (!agent_.request(e.addr, true))
+            break;   // MSHRs exhausted
+        e.issued = true;
+        ++prefetches;
+        core_.noteWork();
+    }
+    // Stamped with the epoch read before the scan: a permission loss
+    // during it voids the prefix at the next scan.
+    settled_ = i;
+    settledEpoch_ = epoch;
 }
 
 void

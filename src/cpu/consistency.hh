@@ -171,8 +171,16 @@ class ConventionalFifoImpl : public ConsistencyImpl
     std::uint64_t statHeadIssuedWait = 0;
 
   private:
+    /** Request write permission for up to two younger entries. */
+    void prefetchScan();
+
     Model model_;
     FifoStoreBuffer sb_;
+    /** Length of the store buffer's prefix known to be issued or
+     *  writable, valid while the L1's permission epoch equals
+     *  settledEpoch_ (see prefetchScan). */
+    std::size_t settled_ = 0;
+    std::uint64_t settledEpoch_ = 0;
 };
 
 } // namespace invisifence

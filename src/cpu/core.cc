@@ -560,11 +560,21 @@ Core::dispatchStage()
         InstSeq prev_same_word = 0;
         if (isStoreLike(inst.type))
             prev_same_word = wordMapInsert(wordAlign(inst.addr), nextSeq_);
+        // Every field written in place: assigning a value-initialised
+        // temporary would zero and copy the whole entry per dispatch.
         RobEntry& e = rob_.push();
-        e = RobEntry{};
         e.inst = inst;
         e.seq = nextSeq_++;
+        e.status = RobEntry::Status::Dispatched;
+        e.result = 0;
+        e.valueBound = false;
+        e.prefetched = false;
+        e.readyAt = 0;
+        e.specMarked = false;
+        e.specCtx = kNoSpecCtx;
+        e.waitSeq = 0;
         e.prevSameWord = prev_same_word;
+        e.mshrStallNoted = false;
         program_.snapshotTo(rob_.lastSnap());
 
         switch (inst.type) {

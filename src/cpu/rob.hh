@@ -35,7 +35,8 @@ namespace invisifence {
 /** Context value meaning "not part of any speculation". */
 constexpr std::uint32_t kNoSpecCtx = 0xffffffffu;
 
-/** One in-flight instruction. */
+/** One in-flight instruction. Core::dispatchStage writes every field
+ *  in place; a field added here must be initialised there too. */
 struct RobEntry
 {
     enum class Status : std::uint8_t
@@ -165,10 +166,10 @@ class RobMask
  * every dispatch/retire — the per-instruction hot path. The ring is
  * allocated once at construction and recycled forever.
  *
- * The per-entry program snapshot (192 bytes, read only at retirement
- * and on rollbacks) lives in a parallel cold lane, keeping RobEntry at
- * ~1/3 the size so the per-tick execute/forwarding/snoop scans stride
- * hot fields only — the same split-lane layout as the cache arrays.
+ * The per-entry program snapshot (64 bytes, read only at retirement
+ * and on rollbacks) lives in a parallel cold lane, so the per-tick
+ * execute/forwarding/snoop scans stride hot fields only — the same
+ * split-lane layout as the cache arrays.
  */
 class Rob
 {

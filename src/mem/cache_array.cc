@@ -207,6 +207,8 @@ CacheArray::invalidateFrame(std::uint32_t frame)
 {
     IF_HOT;
     CacheTag& tag = tags_[frame];
+    if (isWritable(tag.state))
+        ++permEpoch_;
     tag.blockAddr = kInvalidTagAddr;   // keep invalid frames unmatchable
     tag.state = CoherenceState::Invalid;
     tag.dirty = 0;

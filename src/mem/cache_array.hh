@@ -17,7 +17,10 @@
  * frame index) and may pin one across simulated time as a generation-
  * stamped `Handle`: the generation bumps whenever the frame's identity
  * changes (invalidate, victim install, flash invalidate), so
- * revalidation is one O(1) compare instead of a repeated tag scan.
+ * revalidation is one O(1) compare instead of a repeated tag scan. A
+ * per-array permission epoch does the same for "this block is writable"
+ * verdicts: it bumps whenever any line loses write permission, so an
+ * unchanged epoch proves every such verdict still holds.
  *
  * The flash operations model the single-cycle SRAM circuits of the
  * paper's Figure 3. In hardware they are constant-time; here they walk a
@@ -170,12 +173,17 @@ class CacheArray
             return {frame_, arr_->gen_[frame_]};
         }
 
-        /** Change coherence state (never to Invalid; use invalidate). */
+        /** Change coherence state (never to Invalid; use invalidate).
+         *  A downgrade that drops write permission bumps the array's
+         *  permission epoch. */
         void
         setState(CoherenceState s) const
         {
             IF_DBG_ASSERT(isValidState(s));
-            tag().state = s;
+            CacheTag& t = tag();
+            if (isWritable(t.state) && !isWritable(s))
+                ++arr_->permEpoch_;
+            t.state = s;
         }
 
         void setDirty(bool d) const { tag().dirty = d ? 1 : 0; }
@@ -205,7 +213,8 @@ class CacheArray
             arr_->installFrame(frame_, block_addr, s);
         }
 
-        /** Invalidate: clears state/dirty/spec bits, bumps generation. */
+        /** Invalidate: clears state/dirty/spec bits, bumps generation
+         *  (and the permission epoch when the line was writable). */
         void invalidate() const { arr_->invalidateFrame(frame_); }
 
       private:
@@ -293,6 +302,15 @@ class CacheArray
         return static_cast<std::uint32_t>(specFrames_[ctx].size());
     }
 
+    /**
+     * Permission epoch: bumps whenever some line loses write permission
+     * (an invalidation or a downgrade of a writable line). While it is
+     * unchanged, every block that was writable when it was read still
+     * is, so a caller may cache "writable" verdicts across simulated
+     * time and revalidate them all with one compare.
+     */
+    std::uint64_t permEpoch() const { return permEpoch_; }
+
     std::uint32_t numSets() const { return num_sets_; }
     std::uint32_t numWays() const { return ways_; }
     const std::string& name() const { return name_; }
@@ -355,6 +373,7 @@ class CacheArray
     std::vector<std::uint32_t> specPos_[kMaxCheckpoints];
     std::vector<std::uint32_t> flashScratch_;
     std::uint32_t lruCounter_ = 0;
+    std::uint64_t permEpoch_ = 0;
 };
 
 inline CacheArray::Line

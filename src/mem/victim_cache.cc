@@ -9,7 +9,7 @@ VictimCache::indexOf(Addr addr) const
 {
     const Addr blk = blockAlign(addr);
     for (std::size_t i = 0; i < tags_.size(); ++i) {
-        if (tags_[i].blockAddr == blk)
+        if (tags_[i] == blk)
             return static_cast<std::ptrdiff_t>(i);
     }
     return -1;
@@ -18,77 +18,27 @@ VictimCache::indexOf(Addr addr) const
 void
 VictimCache::eraseAt(std::size_t i)
 {
-    hotPush(freeSlots_, tags_[i].slot);
-    // Tag-lane shift only: 16-byte entries, payloads stay in place.
     tags_.erase(tags_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
-std::uint8_t
-VictimCache::takeSlot()
-{
-    IF_DBG_ASSERT(!freeSlots_.empty());
-    const std::uint8_t slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    return slot;
-}
-
-VictimCache::InsertResult
-VictimCache::insert(const Entry& e)
-{
-    IF_DBG_ASSERT(e.state != CoherenceState::Invalid);
-    IF_DBG_ASSERT(e.blockAddr == blockAlign(e.blockAddr));
-    InsertResult res;
-    // A re-inserted block replaces its previous incarnation.
-    invalidate(e.blockAddr);
-    if (tags_.size() >= capacity_) {
-        res.displaced = true;
-        res.displacedEntry.blockAddr = tags_.front().blockAddr;
-        res.displacedEntry.state = tags_.front().state;
-        res.displacedEntry.dirty = tags_.front().dirty != 0;
-        res.displacedEntry.data = data_[tags_.front().slot];
-        eraseAt(0);
-    }
-    const std::uint8_t slot = takeSlot();
-    data_[slot] = e.data;
-    hotPush(tags_, Tag{e.blockAddr, slot, e.state,
-                       static_cast<std::uint8_t>(e.dirty ? 1 : 0)});
-    return res;
-}
-
 void
-VictimCache::insertFrom(Addr block_addr, CoherenceState state,
-                        const BlockData& data)
+VictimCache::insert(Addr block_addr)
 {
     IF_HOT;
-    IF_DBG_ASSERT(state != CoherenceState::Invalid);
     IF_DBG_ASSERT(block_addr == blockAlign(block_addr));
     invalidate(block_addr);
     if (tags_.size() >= capacity_)
-        eraseAt(0);   // displaced entry dropped (clean by construction)
-    const std::uint8_t slot = takeSlot();
-    data_[slot] = data;
-    hotPush(tags_, Tag{block_addr, slot, state, 0});
+        eraseAt(0);
+    hotPush(tags_, block_addr);
 }
 
 bool
-VictimCache::extract(Addr addr, Entry* out)
+VictimCache::extract(Addr addr)
 {
     IF_HOT;
-    const std::ptrdiff_t at = indexOf(addr);
-    if (at < 0) {
-        ++statMisses;
-        return false;
-    }
-    const std::size_t i = static_cast<std::size_t>(at);
-    if (out) {
-        out->blockAddr = tags_[i].blockAddr;
-        out->state = tags_[i].state;
-        out->dirty = tags_[i].dirty != 0;
-        out->data = data_[tags_[i].slot];
-    }
-    eraseAt(i);
-    ++statHits;
-    return true;
+    const bool hit = invalidate(addr);
+    ++(hit ? statHits : statMisses);
+    return hit;
 }
 
 bool

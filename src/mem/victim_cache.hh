@@ -3,90 +3,54 @@
  * Small fully-associative victim cache (Figure 6: 16 entries next to L1).
  *
  * Holds non-speculative blocks evicted from the L1 for capacity/conflict
- * reasons so a quick re-reference refills without an L2 round trip.
- * Speculative blocks are never placed here: they must not escape the L1
- * (Section 3.2, violation detection), so their evictions force a commit
- * or abort instead.
+ * reasons so a quick re-reference refills at victim-cache latency rather
+ * than the L2's. Speculative blocks are never placed here: they must not
+ * escape the L1 (Section 3.2, violation detection), so their evictions
+ * force a commit or abort instead.
  *
- * Like CacheArray, storage is split into a compact tag lane ({block
- * address, data slot, state, dirty}, 16 bytes per entry, scanned
- * contiguously) and a slot-indexed 64-byte data lane, so the L1-miss
- * probes on the agent's hot path never touch block data — and FIFO
- * shifting moves only 16-byte tags, never payloads.
+ * The model keeps tags only. The victim cache is inclusive in the L2,
+ * the L1 eviction syncs any dirty data into the L2 line first, and a
+ * victim-cache hit refills the L1 from that L2 line — so a payload or
+ * state kept here would be a copy nobody reads. What the victim cache
+ * decides is a refill's latency, and for that its tags are enough.
  */
 
 #ifndef INVISIFENCE_MEM_VICTIM_CACHE_HH
 #define INVISIFENCE_MEM_VICTIM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "mem/block.hh"
-#include "mem/cache_array.hh"
-#include "sim/log.hh"
 #include "sim/types.hh"
 
 namespace invisifence {
 
-/** FIFO-replacement fully-associative victim buffer. */
+/** FIFO-replacement fully-associative victim buffer (tags only). */
 class VictimCache
 {
   public:
-    explicit VictimCache(std::uint32_t entries)
-        : capacity_(entries), data_(entries)
+    explicit VictimCache(std::uint32_t entries) : capacity_(entries)
     {
-        // Data-lane slots are byte-indexed from the tags; bound the
-        // capacity so slot numbers can never alias.
-        if (entries > 256)
-            IF_FATAL("victim cache: at most 256 entries supported");
-        // All lanes are preallocated; nothing allocates after
-        // construction.
+        // Preallocated; nothing allocates after construction.
         tags_.reserve(entries);
-        freeSlots_.reserve(entries);
-        for (std::uint32_t s = 0; s < entries; ++s)
-            freeSlots_.push_back(static_cast<std::uint8_t>(s));
     }
 
-    /** Full view of one entry, for insert/extract interchange. */
-    struct Entry
-    {
-        Addr blockAddr = 0;
-        CoherenceState state = CoherenceState::Invalid;
-        bool dirty = false;
-        BlockData data{};
-    };
-
-    /** Insert a victim; evicts the oldest entry if full (returned). */
-    struct InsertResult
-    {
-        bool displaced = false;
-        Entry displacedEntry{};
-    };
-    InsertResult insert(const Entry& e);
-
-    /** Insert without the Entry interchange copy: the payload goes
-     *  straight from @p data into the entry's slot (one 64-byte copy).
-     *  Any displaced entry is dropped, as the L1 eviction path does. */
-    void insertFrom(Addr block_addr, CoherenceState state,
-                    const BlockData& data);
+    /**
+     * Insert @p block_addr as the youngest entry. A re-inserted block
+     * replaces its previous incarnation; a full cache drops its oldest
+     * entry (clean by construction: the L2 holds its data).
+     */
+    void insert(Addr block_addr);
 
     /** Find and remove the entry for @p addr; true when present. */
-    bool extract(Addr addr, Entry* out);
+    bool extract(Addr addr);
 
-    /** Presence probe: tag-lane scan only, no block data touched. */
+    /** Presence probe. */
     bool
     contains(Addr addr) const
     {
         return indexOf(addr) >= 0;
-    }
-
-    /** Block payload for @p addr, or nullptr (test/debug access). */
-    const BlockData*
-    peekData(Addr addr) const
-    {
-        const std::ptrdiff_t i = indexOf(addr);
-        return i >= 0 ? &data_[tags_[static_cast<std::size_t>(i)].slot]
-                      : nullptr;
     }
 
     /** Remove the entry for @p addr if present (invalidation). */
@@ -99,24 +63,12 @@ class VictimCache
     std::uint64_t statMisses = 0;
 
   private:
-    /** Compact tag-lane entry; age order lives in the vector order. */
-    struct Tag
-    {
-        Addr blockAddr = 0;
-        std::uint8_t slot = 0;    //!< index into the fixed data lane
-        CoherenceState state = CoherenceState::Invalid;
-        std::uint8_t dirty = 0;
-    };
-
     /** Age position of @p addr's entry (oldest first), or -1. */
     std::ptrdiff_t indexOf(Addr addr) const;
     void eraseAt(std::size_t i);
-    std::uint8_t takeSlot();
 
     std::uint32_t capacity_;
-    std::vector<Tag> tags_;       //!< hot lane, oldest first
-    std::vector<BlockData> data_; //!< cold lane, fixed slots
-    std::vector<std::uint8_t> freeSlots_;
+    std::vector<Addr> tags_;   //!< block addresses, oldest first
 };
 
 } // namespace invisifence

@@ -49,7 +49,9 @@ class RingDeque
     pop_front()
     {
         IF_DBG_ASSERT(size_ > 0);
-        head_ = slots_.empty() ? 0 : (head_ + 1) % slots_.size();
+        ++head_;
+        if (head_ == slots_.size())
+            head_ = 0;
         --size_;
     }
 
@@ -105,10 +107,15 @@ class RingDeque
     const_iterator end() const { return const_iterator(this, size_); }
 
   private:
+    /** Ring slot of element @p i without an integer division: head_
+     *  and @p i are both below the slot count, so one subtraction
+     *  wraps. */
     std::size_t
     index(std::size_t i) const
     {
-        return slots_.empty() ? 0 : (head_ + i) % slots_.size();
+        IF_DBG_ASSERT(i < slots_.size());
+        const std::size_t s = head_ + i;
+        return s < slots_.size() ? s : s - slots_.size();
     }
 
     IF_COLD_FN void

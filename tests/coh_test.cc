@@ -586,3 +586,118 @@ TEST(CacheAgentBatch, DifferentBlocksDoNotMerge)
     rig.settle();
     EXPECT_EQ(done, 2);
 }
+
+// ------------------------------------- L1 tag state mirrors the L2 state
+
+namespace {
+
+/**
+ * The invariant behind the one-probe permission checks, at @p addr on
+ * @p agent: an L1-resident block is L2-resident in the same coherence
+ * state, and the L1-only probes give the answers the two-level probes
+ * gave (readable: in both levels; writable: in the L1 with a writable
+ * L2 state).
+ */
+void
+expectLevelsAgree(CacheAgent& agent, Addr addr)
+{
+    const CacheArray::Line l1 = agent.l1().lookup(addr);
+    const CacheArray::Line l2 = agent.l2().lookup(addr);
+    if (l1) {
+        ASSERT_TRUE(l2) << "L1 block without L2 backing";
+        EXPECT_EQ(l1.state(), l2.state());
+    }
+    const bool in_both = l1 && l2;
+    EXPECT_EQ(agent.l1Readable(addr), in_both);
+    EXPECT_EQ(agent.l1Writable(addr), in_both && isWritable(l2.state()));
+    std::uint64_t word = 0;
+    EXPECT_EQ(agent.tryReadL1(addr, &word), in_both);
+}
+
+} // namespace
+
+TEST(TagState, FwdGetSDowngradesBothLevels)
+{
+    Rig rig(2);
+    rig.fetch(0, 0x1000, true);
+    rig.agents[0]->writeWordL1(0x1000, 7, false, 0);   // E -> M
+    expectLevelsAgree(*rig.agents[0], 0x1000);
+    EXPECT_EQ(rig.agents[0]->l1().lookup(0x1000).state(),
+              CoherenceState::Modified);
+    const std::uint64_t epoch = rig.agents[0]->l1().permEpoch();
+    rig.fetch(1, 0x1000, false);   // FwdGetS to node 0
+    ASSERT_TRUE(rig.agents[0]->l1().lookup(0x1000));
+    EXPECT_EQ(rig.agents[0]->l1().lookup(0x1000).state(),
+              CoherenceState::Shared);
+    EXPECT_GT(rig.agents[0]->l1().permEpoch(), epoch);
+    for (NodeId n = 0; n < 2; ++n)
+        expectLevelsAgree(*rig.agents[n], 0x1000);
+}
+
+TEST(TagState, UpgradeFillRaisesBothLevels)
+{
+    Rig rig(2);
+    rig.fetch(0, 0x4000, false);
+    rig.fetch(1, 0x4000, false);
+    ASSERT_EQ(rig.agents[0]->l1().lookup(0x4000).state(),
+              CoherenceState::Shared);
+    expectLevelsAgree(*rig.agents[0], 0x4000);
+    rig.fetch(0, 0x4000, true);    // S -> E upgrade fill
+    expectLevelsAgree(*rig.agents[0], 0x4000);
+    EXPECT_TRUE(rig.agents[0]->l1Writable(0x4000));
+    rig.agents[0]->writeWordL1(0x4000, 9, false, 0);
+    EXPECT_EQ(rig.agents[0]->l2().lookup(0x4000).state(),
+              CoherenceState::Modified);
+    for (NodeId n = 0; n < 2; ++n)
+        expectLevelsAgree(*rig.agents[n], 0x4000);
+}
+
+TEST(TagState, DirtyL1EvictionKeepsLevelsInStep)
+{
+    Rig rig(1);
+    // 4 KB 2-way L1: 32 sets, so these three blocks share one set.
+    const Addr a = 0x0, b = 32 * kBlockBytes, c = 64 * kBlockBytes;
+    rig.fetch(0, a, true);
+    rig.agents[0]->writeWordL1(a, 11, false, 0);
+    ASSERT_TRUE(rig.agents[0]->l1Dirty(a));
+    rig.fetch(0, b, false);
+    rig.fetch(0, c, false);        // evicts dirty a (the LRU way)
+    EXPECT_FALSE(rig.agents[0]->l1().lookup(a));
+    ASSERT_TRUE(rig.agents[0]->l2().lookup(a));
+    EXPECT_EQ(rig.agents[0]->l2().lookup(a).state(),
+              CoherenceState::Modified);
+    EXPECT_EQ(rig.agents[0]->l2().lookup(a).data().readWord(0), 11u);
+    for (Addr x : {a, b, c})
+        expectLevelsAgree(*rig.agents[0], x);
+    rig.fetch(0, a, false);        // refill from the L2: M, clean
+    EXPECT_EQ(rig.agents[0]->l1().lookup(a).state(),
+              CoherenceState::Modified);
+    EXPECT_FALSE(rig.agents[0]->l1Dirty(a));
+    EXPECT_EQ(rig.agents[0]->readWordL1(a), 11u);
+    for (Addr x : {a, b, c})
+        expectLevelsAgree(*rig.agents[0], x);
+}
+
+TEST(TagState, L2EvictionPurgesTheL1Copy)
+{
+    Rig rig(1);
+    // 64 KB 8-way L2: 128 sets, so blocks 8 KB apart share one L2 set
+    // (and one L1 set).
+    constexpr Addr kStride = 128 * kBlockBytes;
+    for (std::uint32_t i = 0; i < 8; ++i)
+        rig.fetch(0, i * kStride, true);
+    // Block 0 is the L2's LRU line. Bring it back into the L1 (an L2
+    // hit does not touch the L2's LRU order) and dirty it there.
+    rig.fetch(0, 0, true);
+    rig.agents[0]->writeWordL1(0, 21, false, 0);
+    ASSERT_TRUE(rig.agents[0]->l1Dirty(0));
+    const std::uint64_t epoch = rig.agents[0]->l1().permEpoch();
+    rig.fetch(0, 8 * kStride, false);   // L2 victim: block 0
+    EXPECT_FALSE(rig.agents[0]->l2().lookup(0));
+    EXPECT_FALSE(rig.agents[0]->l1().lookup(0));
+    EXPECT_GT(rig.agents[0]->l1().permEpoch(), epoch);
+    // The dirty L1 data went home with the writeback.
+    EXPECT_EQ(rig.mem.readWord(0), 21u);
+    for (std::uint32_t i = 0; i <= 8; ++i)
+        expectLevelsAgree(*rig.agents[0], i * kStride);
+}

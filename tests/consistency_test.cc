@@ -219,3 +219,69 @@ TEST(ConvSc, StallClassificationSumsToCycles)
     const Breakdown& b = sys->core(0).breakdown();
     EXPECT_EQ(b.total(), sys->core(0).statCycles);
 }
+
+TEST(ConvTso, PrefetchScanRerequestsAScannedEntryThatLostPermission)
+{
+    // The store-prefetch scan skips the prefix of FIFO entries it found
+    // issued or writable. Set up SB = [X, B]: X is a head miss that
+    // never completes (its owner, node 1, defers every external
+    // request), and B is writable when the scan passes it. Then node 2
+    // steals B, downgrading (read) or invalidating (write) node 0's
+    // copy. The next scan must request B again, although it never
+    // became the head.
+    const Addr x = taddr(92), b = taddr(93);
+    for (const bool steal_write : {true, false}) {
+        SCOPED_TRACE(steal_write ? "FwdGetM steal" : "FwdGetS downgrade");
+        SystemParams p = SystemParams::small(3);
+        p.core.storePrefetch = true;
+        std::vector<ScriptOp> s;
+        // Long-latency ALU work first (about a thousand cycles), so node
+        // 1 owns X before node 0 even dispatches its store to X.
+        for (int i = 0; i < 400; ++i)
+            s.push_back(opAlu(250));
+        s.push_back(opStore(b, 1));
+        s.push_back(opFence());           // B drains: node 0 holds it M
+        s.push_back(opStore(x, 2));
+        s.push_back(opStore(b, 3));
+        auto sys = makeScripted({s, {}, {}}, ImplKind::ConvTSO, p);
+        // Node 1 owns X and refuses to give it up.
+        ASSERT_TRUE(sys->agent(1).request(x, true));
+        sys->run(400);
+        ASSERT_TRUE(sys->agent(1).l1Writable(x));
+        ASSERT_FALSE(sys->agent(0).fetchOutstanding(x));
+        sys->agent(1).setExternalBlocked(true);
+
+        const auto& fifo =
+            static_cast<ConventionalFifoImpl&>(sys->impl(0)).storeBuffer();
+        const auto entry_b = [&]() -> const FifoStoreBuffer::Entry* {
+            for (const auto& e : fifo.entries())
+                if (e.addr == b)
+                    return &e;
+            return nullptr;
+        };
+        // Run until both stores sit in the SB and a few scans passed.
+        for (int i = 0; i < 20000 && fifo.size() < 2; ++i)
+            sys->run(1);
+        ASSERT_EQ(fifo.size(), 2u);
+        sys->run(20);
+        ASSERT_EQ(fifo.size(), 2u);
+        ASSERT_EQ(fifo.front().addr, x);
+        ASSERT_NE(entry_b(), nullptr);
+        EXPECT_FALSE(entry_b()->issued);
+        ASSERT_TRUE(sys->agent(0).l1Writable(b));
+
+        ASSERT_TRUE(sys->agent(2).request(b, steal_write));
+        for (int i = 0; i < 2000 && sys->agent(0).l1Writable(b); ++i)
+            sys->run(1);
+        ASSERT_FALSE(sys->agent(0).l1Writable(b));
+        sys->run(2);
+        ASSERT_EQ(fifo.front().addr, x);   // X is still the blocked head
+        ASSERT_NE(entry_b(), nullptr);
+        EXPECT_TRUE(entry_b()->issued);
+        EXPECT_TRUE(sys->agent(0).fetchOutstanding(b) ||
+                    sys->agent(0).l1Writable(b));
+
+        sys->agent(1).setExternalBlocked(false);
+        ASSERT_TRUE(sys->runUntilDone(200000));
+    }
+}

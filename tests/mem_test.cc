@@ -663,25 +663,20 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(VictimCache, InsertExtractRoundTrip)
 {
     VictimCache vc(4);
-    VictimCache::Entry e;
-    e.blockAddr = 0x4000;
-    e.state = CoherenceState::Shared;
-    vc.insert(e);
-    VictimCache::Entry out;
-    EXPECT_TRUE(vc.extract(0x4000, &out));
-    EXPECT_EQ(out.blockAddr, 0x4000u);
-    EXPECT_FALSE(vc.extract(0x4000, &out));   // removed on extract
+    vc.insert(0x4000);
+    EXPECT_TRUE(vc.contains(0x4000));
+    EXPECT_TRUE(vc.contains(0x4008));          // any address in the block
+    EXPECT_TRUE(vc.extract(0x4000));
+    EXPECT_FALSE(vc.contains(0x4000));
+    EXPECT_FALSE(vc.extract(0x4000));          // removed on extract
+    EXPECT_EQ(vc.size(), 0u);
 }
 
 TEST(VictimCache, FifoDisplacement)
 {
     VictimCache vc(2);
-    for (Addr a : {Addr{0x100 * 64}, Addr{0x200 * 64}, Addr{0x300 * 64}}) {
-        VictimCache::Entry e;
-        e.blockAddr = a;
-        e.state = CoherenceState::Shared;
-        vc.insert(e);
-    }
+    for (Addr a : {Addr{0x100 * 64}, Addr{0x200 * 64}, Addr{0x300 * 64}})
+        vc.insert(a);
     EXPECT_EQ(vc.size(), 2u);
     EXPECT_FALSE(vc.contains(0x100 * 64));    // oldest displaced
     EXPECT_TRUE(vc.contains(0x200 * 64));
@@ -690,26 +685,27 @@ TEST(VictimCache, FifoDisplacement)
 
 TEST(VictimCache, ReinsertReplaces)
 {
-    VictimCache vc(4);
-    VictimCache::Entry e;
-    e.blockAddr = 0x40;
-    e.state = CoherenceState::Shared;
-    e.data.writeWord(0, 1);
-    vc.insert(e);
-    e.data.writeWord(0, 2);
-    vc.insert(e);
-    EXPECT_EQ(vc.size(), 1u);
-    ASSERT_NE(vc.peekData(0x40), nullptr);
-    EXPECT_EQ(vc.peekData(0x40)->readWord(0), 2u);
+    VictimCache vc(3);
+    vc.insert(0x40);
+    vc.insert(0x80);
+    vc.insert(0x40);   // replaces the first incarnation, now youngest
+    EXPECT_EQ(vc.size(), 2u);
+    vc.insert(0xc0);
+    vc.insert(0x100);  // full: displaces the oldest, 0x80
+    EXPECT_EQ(vc.size(), 3u);
+    EXPECT_FALSE(vc.contains(0x80));
+    EXPECT_TRUE(vc.contains(0x40));
+    vc.insert(0x140);  // next oldest is the re-inserted 0x40
+    EXPECT_FALSE(vc.contains(0x40));
+    EXPECT_TRUE(vc.contains(0xc0));
+    EXPECT_TRUE(vc.contains(0x100));
+    EXPECT_TRUE(vc.contains(0x140));
 }
 
 TEST(VictimCache, InvalidateRemoves)
 {
     VictimCache vc(4);
-    VictimCache::Entry e;
-    e.blockAddr = 0x80;
-    e.state = CoherenceState::Exclusive;
-    vc.insert(e);
+    vc.insert(0x80);
     EXPECT_TRUE(vc.invalidate(0x80));
     EXPECT_FALSE(vc.invalidate(0x80));
     EXPECT_FALSE(vc.contains(0x80));
@@ -718,12 +714,9 @@ TEST(VictimCache, InvalidateRemoves)
 TEST(VictimCache, HitMissStats)
 {
     VictimCache vc(4);
-    VictimCache::Entry e;
-    e.blockAddr = 0xc0;
-    e.state = CoherenceState::Shared;
-    vc.insert(e);
-    vc.extract(0xc0, nullptr);
-    vc.extract(0xc0, nullptr);
+    vc.insert(0xc0);
+    vc.extract(0xc0);
+    vc.extract(0xc0);
     EXPECT_EQ(vc.statHits, 1u);
     EXPECT_EQ(vc.statMisses, 1u);
 }

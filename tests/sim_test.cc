@@ -1,11 +1,14 @@
-/** @file Unit tests for the simulation kernel (event queue, RNG, stats). */
+/** @file Unit tests for the simulation kernel (event queue, RNG, stats,
+ *  ring deque). */
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/log.hh"
+#include "sim/ring_deque.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -309,4 +312,114 @@ TEST(Log, StrformatFormats)
 {
     EXPECT_EQ(strformat("x=%d y=%s", 7, "ok"), "x=7 y=ok");
     EXPECT_EQ(strformat("plain"), "plain");
+}
+
+// ------------------------------------------------------------ ring deque
+
+namespace {
+
+/** Element with enough payload to catch a slot mix-up. */
+struct RingItem
+{
+    std::uint64_t key = 0;
+    std::uint32_t check = 0;
+};
+
+/** Every element, in order, through operator[] and the iterators. */
+void
+expectSameContents(const RingDeque<RingItem>& ring,
+                   const std::deque<RingItem>& oracle)
+{
+    ASSERT_EQ(ring.size(), oracle.size());
+    ASSERT_EQ(ring.empty(), oracle.empty());
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+        ASSERT_EQ(ring[i].key, oracle[i].key) << "index " << i;
+        ASSERT_EQ(ring[i].check, oracle[i].check) << "index " << i;
+    }
+    std::size_t i = 0;
+    for (const RingItem& item : ring) {
+        ASSERT_LT(i, oracle.size());
+        ASSERT_EQ(item.key, oracle[i].key) << "iterator " << i;
+        ++i;
+    }
+    ASSERT_EQ(i, oracle.size());
+    if (!oracle.empty()) {
+        ASSERT_EQ(ring.front().key, oracle.front().key);
+    }
+}
+
+} // namespace
+
+TEST(RingDeque, HeadWrapsAndGrowsWhileWrapped)
+{
+    // Deterministic walk through the wrap: fill the first ring (8
+    // slots), pop past the end so the head sits mid-ring, then push
+    // until the ring doubles with its contents wrapped around.
+    RingDeque<RingItem> ring;
+    std::deque<RingItem> oracle;
+    std::uint64_t next = 1;
+    auto push = [&]() {
+        const RingItem item{next, static_cast<std::uint32_t>(next * 7)};
+        ++next;
+        ring.push_back(item);
+        oracle.push_back(item);
+    };
+    for (int i = 0; i < 8; ++i)
+        push();
+    for (int i = 0; i < 6; ++i) {
+        ring.pop_front();
+        oracle.pop_front();
+    }
+    for (int i = 0; i < 5; ++i)
+        push();   // wraps the tail past slot 7
+    expectSameContents(ring, oracle);
+    for (int i = 0; i < 12; ++i)
+        push();   // grows while wrapped
+    expectSameContents(ring, oracle);
+    while (!oracle.empty()) {
+        ring.pop_front();
+        oracle.pop_front();
+        expectSameContents(ring, oracle);
+    }
+}
+
+TEST(RingDeque, RandomizedAgainstStdDeque)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed);
+        RingDeque<RingItem> ring;
+        std::deque<RingItem> oracle;
+        std::uint64_t next = 1;
+        for (int step = 0; step < 4000; ++step) {
+            const std::uint64_t op = rng.below(100);
+            if (op < 55) {
+                const RingItem item{next,
+                                    static_cast<std::uint32_t>(next ^ seed)};
+                ++next;
+                ring.push_back(item);
+                oracle.push_back(item);
+            } else if (op < 93) {
+                if (!oracle.empty()) {
+                    ring.pop_front();
+                    oracle.pop_front();
+                }
+            } else if (op < 95) {
+                ring.clear();
+                oracle.clear();
+            } else if (op < 98) {
+                // Presize, possibly while wrapped (a no-op when the
+                // ring is already at least this large).
+                ring.reserve(static_cast<std::size_t>(rng.below(80)));
+            } else if (!oracle.empty()) {
+                // In-place mutation through the index operator.
+                const std::size_t i =
+                    static_cast<std::size_t>(rng.below(oracle.size()));
+                ring[i].check += 1;
+                oracle[i].check += 1;
+            }
+            expectSameContents(ring, oracle);
+            if (HasFatalFailure())
+                FAIL() << "seed " << seed << " step " << step;
+        }
+    }
 }
